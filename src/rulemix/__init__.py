@@ -23,7 +23,6 @@ from .discovery import (
     discover_rule,
     discover_rules,
     initial_condition,
-    mutate_condition,
     select_seed_example,
 )
 from .fitness import FitnessParams, candidate_fitness, combine, pseudo_accuracy, rule_fitness, volume_share
@@ -33,9 +32,7 @@ from .io import (
     ModelFormatError,
     config_from_flat,
     config_to_flat,
-    default_config,
     load_config,
-    load_csv,
     load_csv_with_names,
     load_feature_matrix,
     load_model,
@@ -51,7 +48,6 @@ from .model import (
     fit_rule,
     mixed_predictions,
     mixing_weight,
-    predict_mixed,
     solution_residuals,
 )
 from .training import Model, PhaseMetrics, TrainingConfig, fit
@@ -81,7 +77,6 @@ __all__ = [
     "config_from_flat",
     "config_to_flat",
     "crossover_npoint",
-    "default_config",
     "discover_rule",
     "discover_rules",
     "evaluate_candidate",
@@ -89,16 +84,13 @@ __all__ = [
     "fit_rule",
     "initial_condition",
     "load_config",
-    "load_csv",
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",
     "mixed_predictions",
     "mixing_weight",
     "mutate_bits",
-    "mutate_condition",
     "pad_genome",
-    "predict_mixed",
     "pseudo_accuracy",
     "rule_fitness",
     "save_model",

@@ -26,8 +26,8 @@ class DiscoveryParams:
 
     ``lambda_`` children are generated per iteration; the search stops when
     the elitist from ``delta`` iterations ago still beats every later elitist,
-    or after ``max_iter`` iterations. Mutation scales are relative to each
-    feature's observed range.
+    once the parent covers the whole feature box, or after ``max_iter``
+    iterations. Mutation scales are relative to each feature's observed range.
 
     The default rule-fitness alpha leans toward accuracy (0.2): it keeps
     grown rules from overhanging regions their submodel fits poorly, which
@@ -112,16 +112,6 @@ def _grown_bounds(
     return lowers, uppers
 
 
-def mutate_condition(
-    parent: IntervalCondition, data: Dataset, sigma: float, rng: np.random.Generator
-) -> IntervalCondition:
-    """Growth-only mutation: both bounds move outward by independent
-    halfnormal draws scaled to the feature range, clipped to the observed
-    bounds. The child's volume share never falls below the parent's."""
-    lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, sigma, rng, 1)
-    return IntervalCondition(lowers[0], uppers[0])
-
-
 def discover_rule(
     data: Dataset,
     residuals: np.ndarray,
@@ -135,35 +125,24 @@ def discover_rule(
     iteration's elitist, and replaces the parent only when strictly improved
     (plus-selection). The search stops once the elitist from ``delta``
     iterations ago is strictly fitter than every elitist since, returning that
-    elitist; after ``max_iter`` iterations the best elitist seen wins.
+    elitist; after ``max_iter`` iterations, or once the parent spans the whole
+    feature box, the best elitist seen wins.
 
     ``fitness_fn`` overrides the standard rule fitness; it must map into
     [0, 1] and exists so termination behavior can be exercised directly.
     """
-    # The standard score depends only on the rule, so scored rules can be
-    # cached outright; an injected scorer may depend on the iteration and is
-    # re-applied on every cache hit.
-    iteration_free = fitness_fn is None
+    # An injected scorer may depend on the iteration, so only the standard
+    # score lets the search stop at the full feature box.
+    stop_at_full_box = fitness_fn is None
+    bounds = data.feature_bounds
     if fitness_fn is None:
-        bounds = data.feature_bounds
 
         def fitness_fn(rule: Rule, iteration: int) -> float:
             return rule_fitness(rule, bounds, params.fitness)
 
-    # Identical conditions produce identical fits; caching them keeps the
-    # stall window cheap once mutation saturates at the feature bounds.
-    fitted: dict[tuple[bytes, bytes], Rule] = {}
-
     def fit_scored(condition: IntervalCondition, iteration: int) -> Rule:
-        key = (condition.lower.tobytes(), condition.upper.tobytes())
-        cached = fitted.get(key)
-        if cached is not None and iteration_free:
-            return cached
-        if cached is None:
-            cached = fit_rule(condition, data, params.ridge_lambda)
-        scored = replace(cached, fitness=float(fitness_fn(cached, iteration)))
-        fitted[key] = scored if iteration_free else cached
-        return scored
+        rule = fit_rule(condition, data, params.ridge_lambda)
+        return replace(rule, fitness=float(fitness_fn(rule, iteration)))
 
     def seed() -> Rule:
         index = select_seed_example(data, residuals, rng)
@@ -178,6 +157,14 @@ def discover_rule(
 
     elitists = [parent]
     for iteration in range(1, params.max_iter + 1):
+        # A parent spanning the whole feature box breeds only copies of equal
+        # fitness: the stall window can never fire and the best elitist is final.
+        if (
+            stop_at_full_box
+            and np.array_equal(parent.condition.lower, bounds[:, 0])
+            and np.array_equal(parent.condition.upper, bounds[:, 1])
+        ):
+            break
         lowers, uppers = _grown_bounds(
             parent.condition.lower,
             parent.condition.upper,
@@ -186,17 +173,9 @@ def discover_rule(
             rng,
             params.lambda_,
         )
-        # Children clipped back onto the parent (a saturated parent breeds
-        # only copies) reuse its condition object.
-        unchanged = np.all(lowers == parent.condition.lower, axis=1) & np.all(
-            uppers == parent.condition.upper, axis=1
-        )
         best_child: Rule | None = None
         for k in range(params.lambda_):
-            condition = (
-                parent.condition if unchanged[k] else IntervalCondition(lowers[k], uppers[k])
-            )
-            child = fit_scored(condition, iteration)
+            child = fit_scored(IntervalCondition(lowers[k], uppers[k]), iteration)
             if best_child is None or child.fitness > best_child.fitness:
                 best_child = child
         elitists.append(best_child)

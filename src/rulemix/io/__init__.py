@@ -5,11 +5,10 @@ from .config import (
     ConfigError,
     config_from_flat,
     config_to_flat,
-    default_config,
     load_config,
     parse_config_text,
 )
-from .dataio import DataError, load_csv, load_csv_with_names, load_feature_matrix
+from .dataio import DataError, load_csv_with_names, load_feature_matrix
 from .modelfile import FORMAT_VERSION, ModelFormatError, load_model, save_model
 
 __all__ = [
@@ -20,9 +19,7 @@ __all__ = [
     "cli",
     "config_from_flat",
     "config_to_flat",
-    "default_config",
     "load_config",
-    "load_csv",
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",

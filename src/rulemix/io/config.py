@@ -19,7 +19,7 @@ class ConfigError(Exception):
 _SCHEMA: dict[str, tuple[str, Any]] = {
     "rng_seed": ("int", lambda c: c.rng_seed),
     "n_phases": ("int", lambda c: c.n_phases),
-    "ridge_lambda": ("float", lambda c: c.ridge_lambda),
+    "ridge_lambda": ("float", lambda c: c.discovery.ridge_lambda),
     "early_stop": ("bool", lambda c: c.early_stop),
     "alpha_rule": ("float", lambda c: c.discovery.fitness.alpha),
     "alpha_candidate": ("float", lambda c: c.composition.fitness.alpha),
@@ -112,7 +112,6 @@ def config_from_flat(flat: dict[str, Any]) -> TrainingConfig:
             composition=composition,
             n_phases=values["n_phases"],
             rng_seed=values["rng_seed"],
-            ridge_lambda=values["ridge_lambda"],
             early_stop=values["early_stop"],
         )
     except ValueError as exc:
@@ -120,13 +119,7 @@ def config_from_flat(flat: dict[str, Any]) -> TrainingConfig:
 
 
 def config_to_flat(config: TrainingConfig) -> dict[str, Any]:
-    """Flatten a TrainingConfig to the dotted-key form.
-
-    Only file-representable configs flatten: the error-squashing beta is a
-    single shared key.
-    """
-    if config.discovery.fitness.beta != config.composition.fitness.beta:
-        raise ConfigError("cannot flatten a config with differing discovery/composition beta")
+    """Flatten a TrainingConfig to the dotted-key form."""
     return {key: extract(config) for key, (_, extract) in _SCHEMA.items()}
 
 
@@ -158,7 +151,3 @@ def load_config(path: str) -> TrainingConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_flat(parse_config_text(text, source=path))
-
-
-def default_config() -> TrainingConfig:
-    return TrainingConfig()

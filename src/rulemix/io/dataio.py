@@ -15,12 +15,25 @@ class DataError(Exception):
     """Raised for missing, malformed, or unusable input data."""
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_table(path: str, header: bool) -> tuple[list[list[str]], list[str] | None, int]:
+    """Data rows, header names (``None`` without a header) and the file line
+    number of the first data row."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            return list(csv.reader(handle))
+            rows = list(csv.reader(handle))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    names: list[str] | None = None
+    first_line = 1
+    if header:
+        if not rows:
+            raise DataError(f"{path} is empty; expected a header row")
+        names = [cell.strip() for cell in rows[0]]
+        rows = rows[1:]
+        first_line = 2
+    if not rows:
+        raise DataError(f"{path} contains no data rows")
+    return rows, names, first_line
 
 
 def _column_label(names: list[str] | None, index: int) -> str:
@@ -78,17 +91,7 @@ def load_csv_with_names(
     Returns the dataset, the feature column names (positional ``x{i}`` names
     when the file has no header), and the resolved target column name.
     """
-    rows = _read_rows(path)
-    names: list[str] | None = None
-    first_line = 1
-    if header:
-        if not rows:
-            raise DataError(f"{path} is empty; expected a header row")
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        first_line = 2
-    if not rows:
-        raise DataError(f"{path} contains no data rows")
+    rows, names, first_line = _read_table(path, header)
     width = len(names) if names is not None else len(rows[0])
     if width < 2:
         raise DataError("need at least one feature column and one target column")
@@ -111,25 +114,9 @@ def load_csv_with_names(
     return Dataset(features, targets), feature_names, target_name
 
 
-def load_csv(path: str, target_column: Union[str, int], header: bool = True) -> Dataset:
-    """Parse a rectangular numeric CSV into a dataset."""
-    dataset, _, _ = load_csv_with_names(path, target_column, header)
-    return dataset
-
-
 def load_feature_matrix(path: str, header: bool = True) -> tuple[np.ndarray, list[str]]:
     """Parse a features-only CSV (no target column) into a matrix."""
-    rows = _read_rows(path)
-    names: list[str] | None = None
-    first_line = 1
-    if header:
-        if not rows:
-            raise DataError(f"{path} is empty; expected a header row")
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        first_line = 2
-    if not rows:
-        raise DataError(f"{path} contains no data rows")
+    rows, names, first_line = _read_table(path, header)
     matrix = _parse_matrix(rows, names, first_line)
     feature_names = names if names is not None else [f"x{j}" for j in range(matrix.shape[1])]
     return matrix, feature_names

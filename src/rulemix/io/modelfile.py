@@ -80,11 +80,15 @@ def _float_vector(value: Any, context: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _reject_constant(token: str) -> Any:
+    raise ModelFormatError(f"model file contains the non-finite number {token}")
+
+
 def load_model(path: str) -> Model:
     """Read a model file back; the exact inverse of :func:`save_model`."""
     try:
         with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -175,8 +179,17 @@ def load_model(path: str) -> Model:
     )
 
     target_column = document.get("target_column")
-    feature_names_raw = document.get("feature_names")
-    feature_names = tuple(feature_names_raw) if feature_names_raw is not None else None
+    if target_column is not None and not isinstance(target_column, str):
+        raise ModelFormatError("target_column must be a string or null")
+    feature_names = document.get("feature_names")
+    if feature_names is not None:
+        if (
+            not isinstance(feature_names, list)
+            or len(feature_names) != n_features
+            or not all(isinstance(name, str) for name in feature_names)
+        ):
+            raise ModelFormatError(f"feature_names must be null or a list of {n_features} strings")
+        feature_names = tuple(feature_names)
 
     try:
         pool = Pool(rules)

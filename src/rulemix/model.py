@@ -80,12 +80,6 @@ class IntervalCondition:
     def n_features(self) -> int:
         return self.lower.shape[0]
 
-    def matches(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.lower.shape:
-            raise ValueError(f"expected input of shape {self.lower.shape}, got {x.shape}")
-        return bool(np.all((self.lower <= x) & (x <= self.upper)))
-
     def match_mask(self, X: np.ndarray) -> np.ndarray:
         """Boolean mask over the rows of ``X`` that this condition matches."""
         X = np.asarray(X, dtype=float)
@@ -109,12 +103,6 @@ class LinearSubmodel:
             raise ValueError("submodel parameters must be finite")
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "intercept", float(self.intercept))
-
-    def predict(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.coefficients.shape:
-            raise ValueError(f"expected input of shape {self.coefficients.shape}, got {x.shape}")
-        return float(self.intercept + self.coefficients @ x)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -152,10 +140,6 @@ class Rule:
     @property
     def is_degenerate(self) -> bool:
         return self.experience == 0
-
-    def predict(self, x: np.ndarray) -> float:
-        """Submodel prediction at ``x``, whether or not ``x`` is matched."""
-        return self.submodel.predict(x)
 
 
 def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:
@@ -246,36 +230,10 @@ class SolutionCandidate:
         object.__setattr__(self, "cached_complexity", int(self.cached_complexity))
         object.__setattr__(self, "cached_fitness", float(self.cached_fitness))
 
-    @property
-    def complexity(self) -> int:
-        return self.cached_complexity
-
 
 def mixing_weight(rule: Rule) -> float:
     """Mixing weight: experience over (in-sample error + epsilon)."""
     return rule.experience / (rule.in_sample_error + MIXING_EPSILON)
-
-
-def predict_mixed(candidate: SolutionCandidate, pool: Pool, x: np.ndarray, default: float) -> float:
-    """Weighted average of the selected matching rules' predictions at ``x``.
-
-    Returns ``default`` when no selected rule matches (or the matching rules
-    carry zero total weight).
-    """
-    if candidate.genome.shape[0] != len(pool):
-        raise ValueError(f"genome length {candidate.genome.shape[0]} does not match pool size {len(pool)}")
-    x = np.asarray(x, dtype=float)
-    numerator = 0.0
-    denominator = 0.0
-    for index in np.flatnonzero(candidate.genome):
-        rule = pool[index]
-        if rule.condition.matches(x):
-            w = mixing_weight(rule)
-            numerator += w * rule.predict(x)
-            denominator += w
-    if denominator <= 0.0:
-        return float(default)
-    return numerator / denominator
 
 
 class RulePredictionTable:

@@ -3,7 +3,7 @@ the resulting model with prediction and scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,26 +30,21 @@ EARLY_STOP_PHASES = 2
 class TrainingConfig:
     """All hyperparameters of a training run.
 
-    ``ridge_lambda`` is authoritative for submodel fitting: it overrides the
-    value carried inside ``discovery`` so the two can never diverge.
+    Discovery and composition share one error-squashing ``beta``, so their
+    fitness parameters must agree on it.
     """
 
     discovery: DiscoveryParams = field(default_factory=DiscoveryParams)
     composition: CompositionParams = field(default_factory=CompositionParams)
     n_phases: int = 8
     rng_seed: int = 0
-    ridge_lambda: float = 0.01
     early_stop: bool = False
 
     def __post_init__(self):
         if self.n_phases < 1:
             raise ValueError("n_phases must be at least 1")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
-        if self.discovery.ridge_lambda != self.ridge_lambda:
-            object.__setattr__(
-                self, "discovery", replace(self.discovery, ridge_lambda=self.ridge_lambda)
-            )
+        if self.discovery.fitness.beta != self.composition.fitness.beta:
+            raise ValueError("discovery and composition fitness must share one beta")
 
 
 @dataclass(frozen=True)

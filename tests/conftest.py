@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rulemix import Dataset, Rule
+from rulemix import Dataset, IntervalCondition, Rule, mixing_weight
+from rulemix.discovery import _grown_bounds
 
 
 def linear_dataset(n=200, seed=0, noise=0.05, slope=2.0, intercept=1.0):
@@ -30,6 +31,40 @@ def rules_equal(a: Rule, b: Rule) -> bool:
         and a.in_sample_error == b.in_sample_error
         and a.fitness == b.fitness
     )
+
+
+def grow_condition(parent, data, sigma, rng):
+    """One growth-only mutation of ``parent``, as discovery draws it."""
+    lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, sigma, rng, 1)
+    return IntervalCondition(lowers[0], uppers[0])
+
+
+def matches(condition, x):
+    """Whether the single input ``x`` lies in ``condition``'s box."""
+    return bool(condition.match_mask(np.atleast_2d(x))[0])
+
+
+def predict_one(rule, x):
+    """Submodel prediction at the single input ``x``, matched or not."""
+    return float(rule.submodel.predict_batch(np.atleast_2d(x))[0])
+
+
+def predict_mixed(candidate, pool, x, default):
+    """Scalar oracle for the mixed prediction at one input ``x``: the
+    mixing-weighted mean of the selected rules whose box holds ``x``, or
+    ``default`` when none does (or their weights sum to zero)."""
+    x = np.asarray(x, dtype=float)
+    numerator = 0.0
+    denominator = 0.0
+    for index in np.flatnonzero(candidate.genome):
+        rule = pool[index]
+        if np.all(rule.condition.lower <= x) and np.all(x <= rule.condition.upper):
+            w = mixing_weight(rule)
+            numerator += w * float(rule.submodel.intercept + rule.submodel.coefficients @ x)
+            denominator += w
+    if denominator <= 0.0:
+        return float(default)
+    return numerator / denominator
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ import rulemix as rm
 from rulemix.io.cli import cli
 from rulemix.model import RulePredictionTable
 
+from conftest import grow_condition
+
 
 @contextmanager
 def criterion(number: int, name: str):
@@ -91,7 +93,7 @@ def test_criterion_03_volume_monotone_under_growth():
             cond = rm.initial_condition(x, data, 0.1, rng)
             previous = rm.volume_share(cond, data.feature_bounds)
             for _ in range(8):
-                cond = rm.mutate_condition(cond, data, float(rng.uniform(0.01, 0.3)), rng)
+                cond = grow_condition(cond, data, float(rng.uniform(0.01, 0.3)), rng)
                 current = rm.volume_share(cond, data.feature_bounds)
                 assert current >= previous
                 previous = current

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,51 @@ class TestExitCodes:
         code = cli(["fit", "--data", data, "--target", "y", "--config", str(config), "--out", str(tmp_path / "m.json")])
         assert code == 1
         capsys.readouterr()
+
+    def _two_feature_document(self, tmp_path):
+        rule = Rule(
+            IntervalCondition([0.0, 0.0], [1.0, 1.0]),
+            LinearSubmodel(np.array([1.0, 1.0]), 0.0),
+            5,
+            0.01,
+            0.5,
+        )
+        model = Model(
+            pool=Pool([rule]),
+            best=SolutionCandidate(np.array([True]), 0.01, 1, 0.5),
+            default_prediction=0.5,
+            feature_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            config=quick_config(),
+            history=(),
+            feature_names=("a", "b"),
+        )
+        path = tmp_path / "two.json"
+        save_model(model, str(path))
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def _write_document(self, tmp_path, document):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return str(path)
+
+    def test_non_finite_model_value_is_data_error(self, tmp_path, capsys):
+        document = self._two_feature_document(tmp_path)
+        document["default_prediction"] = float("nan")
+        model = self._write_document(tmp_path, document)
+        features = write_csv(tmp_path / "f.csv", np.full((2, 2), 5.0))
+        out = tmp_path / "p.csv"
+        assert cli(["predict", "--model", model, "--data", features, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [7, ["a"]])
+    def test_bad_feature_names_are_data_errors(self, tmp_path, capsys, names):
+        document = self._two_feature_document(tmp_path)
+        document["feature_names"] = names
+        assert cli(["inspect", "--model", self._write_document(tmp_path, document)]) == 2
+        captured = capsys.readouterr()
+        assert "feature_names" in captured.err
+        assert " in [" not in captured.out
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -8,7 +8,6 @@ from rulemix import (
     TrainingConfig,
     config_from_flat,
     config_to_flat,
-    load_csv,
     load_csv_with_names,
     load_feature_matrix,
 )
@@ -24,7 +23,7 @@ def write(tmp_path, name, text):
 class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,0\n1,2\n2,4\n")
-        data = load_csv(path, "y")
+        data = load_csv_with_names(path, "y")[0]
         assert data.n_samples == 3
         assert data.n_features == 1
         np.testing.assert_array_equal(data.feature_bounds, [[0.0, 2.0]])
@@ -47,46 +46,46 @@ class TestLoadCsv:
     def test_missing_target_names_available_columns(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n0,1\n1,2\n")
         with pytest.raises(DataError, match="'a', 'b'"):
-            load_csv(path, "z")
+            load_csv_with_names(path, "z")
 
     def test_nan_cell_cites_row_and_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,1\nnan,2\n")
         with pytest.raises(DataError, match=r"line 3.*'x'"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_non_numeric_cell_cites_row_and_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,1\n1,oops\n")
         with pytest.raises(DataError, match=r"'oops' at line 3.*'y'"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,1\n1\n")
         with pytest.raises(DataError, match="ragged row at line 3"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            load_csv(str(tmp_path / "absent.csv"), "y")
+            load_csv_with_names(str(tmp_path / "absent.csv"), "y")
 
     def test_constant_target_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,3\n1,3\n2,3\n")
         with pytest.raises(DataError, match="constant"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_single_column_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "y\n1\n2\n")
         with pytest.raises(DataError, match="at least one feature"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_no_data_rows(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
     def test_duplicate_target_name_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "y,y\n0,1\n1,2\n")
         with pytest.raises(DataError, match="ambiguous"):
-            load_csv(path, "y")
+            load_csv_with_names(path, "y")
 
 
 class TestLoadFeatureMatrix:
@@ -95,6 +94,15 @@ class TestLoadFeatureMatrix:
         X, names = load_feature_matrix(path)
         np.testing.assert_array_equal(X, [[0.0, 1.0], [2.0, 3.0]])
         assert names == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "text, header, message",
+        [("", True, "is empty; expected a header row"), ("a,b\n", True, "no data rows"), ("", False, "no data rows")],
+    )
+    def test_empty_tables_rejected(self, tmp_path, text, header, message):
+        path = write(tmp_path, "e.csv", text)
+        with pytest.raises(DataError, match=message):
+            load_feature_matrix(path, header=header)
 
     def test_parse_without_header(self, tmp_path):
         path = write(tmp_path, "f.csv", "0,1\n2,3\n")
@@ -151,8 +159,8 @@ class TestConfigFromFlat:
 
     def test_ridge_lambda_flows_into_discovery(self):
         config = config_from_flat({"ridge_lambda": "0.25"})
-        assert config.ridge_lambda == 0.25
         assert config.discovery.ridge_lambda == 0.25
+        assert config_to_flat(config)["ridge_lambda"] == 0.25
 
     def test_round_trip(self):
         config = config_from_flat(
@@ -171,13 +179,11 @@ class TestConfigFromFlat:
         assert config.early_stop is True
 
     def test_flatten_rejects_split_beta(self):
+        # A config whose betas differ could not be saved, so it cannot be built.
         from rulemix import FitnessParams
 
-        config = TrainingConfig(
-            discovery=DiscoveryParams(fitness=FitnessParams(alpha=0.2, beta=3.0))
-        )
-        with pytest.raises(ConfigError, match="beta"):
-            config_to_flat(config)
+        with pytest.raises(ValueError, match="beta"):
+            TrainingConfig(discovery=DiscoveryParams(fitness=FitnessParams(alpha=0.2, beta=3.0)))
         assert config_to_flat(TrainingConfig())["beta"] == 2.0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rulemix.discovery
 from rulemix import (
     DiscoveryParams,
     FitnessParams,
@@ -9,13 +10,12 @@ from rulemix import (
     discover_rules,
     fit_rule,
     initial_condition,
-    mutate_condition,
     rule_fitness,
     select_seed_example,
     volume_share,
 )
 
-from conftest import linear_dataset, rules_equal
+from conftest import grow_condition, linear_dataset, matches, rules_equal
 
 
 class TestSelectSeedExample:
@@ -61,7 +61,7 @@ class TestInitialCondition:
         for _ in range(200):
             x = data.features[rng.integers(0, data.n_samples)]
             cond = initial_condition(x, data, 0.1, rng)
-            assert cond.matches(x)
+            assert matches(cond, x)
 
     def test_tiny_sigma_degenerates_to_the_point(self):
         data = linear_dataset(n=20, noise=0.0)
@@ -85,14 +85,14 @@ class TestMutateCondition:
         rng = np.random.default_rng(5)
         parent = IntervalCondition([-0.25], [0.25])
         for _ in range(100):
-            child = mutate_condition(parent, data, 0.05, rng)
+            child = grow_condition(parent, data, 0.05, rng)
             assert child.lower[0] <= parent.lower[0]
             assert child.upper[0] >= parent.upper[0]
 
     def test_full_span_parent_is_a_fixpoint(self):
         data = linear_dataset(n=30, noise=0.0)
         parent = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        child = mutate_condition(parent, data, 0.2, np.random.default_rng(0))
+        child = grow_condition(parent, data, 0.2, np.random.default_rng(0))
         np.testing.assert_array_equal(child.lower, parent.lower)
         np.testing.assert_array_equal(child.upper, parent.upper)
 
@@ -102,7 +102,7 @@ class TestMutateCondition:
         cond = IntervalCondition([-0.1], [0.1])
         previous = volume_share(cond, data.feature_bounds)
         for _ in range(50):
-            cond = mutate_condition(cond, data, 0.05, rng)
+            cond = grow_condition(cond, data, 0.05, rng)
             current = volume_share(cond, data.feature_bounds)
             assert current >= previous
             previous = current
@@ -179,6 +179,37 @@ class TestDiscoverRule:
             rule = discover_rule(data, residuals, params, np.random.default_rng(seed))
             assert rule.fitness >= 0.9 * oracle_fitness
             assert rule.in_sample_error <= 1e-3
+
+    def test_full_box_stop_returns_what_running_on_would(self):
+        # The injected scorer scores exactly as the standard one, but runs on
+        # to max_iter once the box spans the whole feature range.
+        data = linear_dataset(n=200)
+        residuals = data.targets - data.targets.mean()
+        params = DiscoveryParams()
+
+        def standard(rule, iteration):
+            return rule_fitness(rule, data.feature_bounds, params.fitness)
+
+        for seed in range(2):
+            stopped = discover_rule(data, residuals, params, np.random.default_rng(seed))
+            ran_on = discover_rule(data, residuals, params, np.random.default_rng(seed), standard)
+            assert rules_equal(stopped, ran_on)
+
+    def test_full_box_stop_ends_before_max_iter(self, monkeypatch):
+        data = linear_dataset(n=200)
+        residuals = data.targets - data.targets.mean()
+        params = DiscoveryParams()
+        calls = []
+
+        def counting_fit_rule(*args):
+            calls.append(1)
+            return fit_rule(*args)
+
+        monkeypatch.setattr(rulemix.discovery, "fit_rule", counting_fit_rule)
+        rule = discover_rule(data, residuals, params, np.random.default_rng(0))
+        np.testing.assert_array_equal(rule.condition.lower, data.feature_bounds[:, 0])
+        np.testing.assert_array_equal(rule.condition.upper, data.feature_bounds[:, 1])
+        assert len(calls) < params.max_iter
 
 
 class TestDiscoverRules:

@@ -12,12 +12,11 @@ from rulemix import (
     SolutionCandidate,
     fit_rule,
     mixed_predictions,
-    predict_mixed,
     solution_residuals,
 )
 from rulemix.model import RulePredictionTable
 
-from conftest import linear_dataset
+from conftest import linear_dataset, matches, predict_mixed, predict_one
 
 
 def ridge_oracle(X, y, lam):
@@ -62,20 +61,20 @@ class TestDataset:
 class TestMatches:
     def test_boundary_point_is_matched(self):
         cond = IntervalCondition([0.0, 0.0], [1.0, 1.0])
-        assert cond.matches([1.0, 0.0])
+        assert matches(cond, [1.0, 0.0])
 
     def test_point_just_outside_upper(self):
         cond = IntervalCondition([0.0], [1.0])
-        assert not cond.matches([1.0000001])
+        assert not matches(cond, [1.0000001])
 
     def test_interior_point(self):
         cond = IntervalCondition([-1.0], [1.0])
-        assert cond.matches([0.0])
+        assert matches(cond, [0.0])
 
     def test_dimension_mismatch(self):
         cond = IntervalCondition([0.0], [1.0])
         with pytest.raises(ValueError):
-            cond.matches([0.0, 0.0])
+            matches(cond, [0.0, 0.0])
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -95,15 +94,15 @@ class TestMatches:
         wider = IntervalCondition(
             np.asarray(low) - grow_low, np.asarray(high) + grow_high
         )
-        if cond.matches(point):
-            assert wider.matches(point)
+        if matches(cond, point):
+            assert matches(wider, point)
 
     def test_match_mask_agrees_with_matches(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-2, 2, size=(50, 3))
         cond = IntervalCondition([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
         mask = cond.match_mask(X)
-        assert mask.tolist() == [cond.matches(row) for row in X]
+        assert mask.tolist() == [matches(cond, row) for row in X]
 
 
 class TestFitRule:
@@ -173,19 +172,19 @@ class TestFitRule:
 class TestPredictRule:
     def test_constant_submodel(self):
         rule = make_rule([0.0], [1.0], [0.0], 3.25)
-        assert rule.predict([0.7]) == 3.25
+        assert predict_one(rule, [0.7]) == 3.25
 
     def test_identity(self):
         rule = make_rule([0.0], [1.0], [1.0], 0.0)
-        assert rule.predict([3.5]) == 3.5
+        assert predict_one(rule, [3.5]) == 3.5
 
     def test_direct_arithmetic(self):
         rule = make_rule([0.0, 0.0], [1.0, 1.0], [2.0, -1.0], 1.0)
-        assert rule.predict([1.0, 1.0]) == 2.0
+        assert predict_one(rule, [1.0, 1.0]) == 2.0
 
     def test_prediction_ignores_matching(self):
         rule = make_rule([0.0], [1.0], [1.0], 0.0)
-        assert rule.predict([100.0]) == 100.0
+        assert predict_one(rule, [100.0]) == 100.0
 
 
 class TestPredictMixed:
@@ -196,32 +195,42 @@ class TestPredictMixed:
         genome = np.asarray(bits, dtype=bool)
         return SolutionCandidate(genome, 0.0, int(genome.sum()), 0.0)
 
+    def _mixed(self, bits, pool, x, default):
+        """The oracle's mixed prediction at ``x``, checked against the batch
+        kernel on a one-row matrix."""
+        candidate = self._candidate(bits)
+        expected = predict_mixed(candidate, pool, x, default)
+        table = RulePredictionTable.build(pool.rules, np.atleast_2d(x))
+        assert table.mixed(candidate.genome, default)[0] == pytest.approx(expected, abs=1e-12)
+        return expected
+
     def test_single_matching_rule_wins(self):
         rule = make_rule([0.0], [1.0], [2.0], 0.0, experience=5, error=0.1)
         pool = self._pool(rule)
-        assert predict_mixed(self._candidate([1]), pool, [0.5], -9.0) == rule.predict([0.5])
+        assert self._mixed([1], pool, [0.5], -9.0) == predict_one(rule, [0.5])
 
     def test_equal_rules_average(self):
         a = make_rule([0.0], [1.0], [0.0], 1.0, experience=5, error=0.1)
         b = make_rule([0.0], [1.0], [0.0], 3.0, experience=5, error=0.1)
         pool = self._pool(a, b)
-        assert predict_mixed(self._candidate([1, 1]), pool, [0.5], -9.0) == pytest.approx(2.0)
+        assert self._mixed([1, 1], pool, [0.5], -9.0) == pytest.approx(2.0)
 
     def test_no_match_returns_default(self):
         rule = make_rule([0.0], [1.0], [2.0], 0.0)
         pool = self._pool(rule)
-        assert predict_mixed(self._candidate([1]), pool, [5.0], -9.0) == -9.0
+        assert self._mixed([1], pool, [5.0], -9.0) == -9.0
 
     def test_unselected_rules_ignored(self):
         a = make_rule([0.0], [1.0], [0.0], 1.0)
         b = make_rule([0.0], [1.0], [0.0], 100.0)
         pool = self._pool(a, b)
-        assert predict_mixed(self._candidate([1, 0]), pool, [0.5], -9.0) == 1.0
+        assert self._mixed([1, 0], pool, [0.5], -9.0) == 1.0
 
     def test_genome_pool_size_mismatch(self):
         pool = self._pool(make_rule([0.0], [1.0], [0.0], 1.0))
-        with pytest.raises(ValueError):
-            predict_mixed(self._candidate([1, 0]), pool, [0.5], 0.0)
+        data = Dataset([[0.5]], [0.0])
+        with pytest.raises(ValueError, match="does not match pool size"):
+            solution_residuals(self._candidate([1, 0]), pool, data)
 
     def test_mix_is_convex_combination(self):
         rng = np.random.default_rng(11)
@@ -237,10 +246,9 @@ class TestPredictMixed:
             for _ in range(5)
         ]
         pool = self._pool(*rules)
-        candidate = self._candidate([1] * 5)
         for x in rng.uniform(-1, 1, size=20):
-            predictions = [rule.predict([x]) for rule in rules]
-            mixed = predict_mixed(candidate, pool, [x], 0.0)
+            predictions = [predict_one(rule, [x]) for rule in rules]
+            mixed = self._mixed([1] * 5, pool, [x], 0.0)
             assert min(predictions) - 1e-12 <= mixed <= max(predictions) + 1e-12
 
     def test_batch_table_agrees_with_per_row(self):

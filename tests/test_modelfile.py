@@ -97,6 +97,36 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(str(tmp_path / "absent.json"))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, trained, tmp_path, token):
+        _, _, path = trained
+        document = json.load(open(path, encoding="utf-8"))
+        document["default_prediction"] = "TOKEN"
+        broken = tmp_path / "nonfinite.json"
+        broken.write_text(json.dumps(document).replace('"TOKEN"', token), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(str(broken))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_names", 7),
+            ("feature_names", "x"),
+            ("feature_names", ["x", "z"]),
+            ("feature_names", [1]),
+            ("target_column", 3),
+            ("target_column", ["y"]),
+        ],
+    )
+    def test_bad_metadata_rejected(self, trained, tmp_path, key, value):
+        _, _, path = trained
+        document = json.load(open(path, encoding="utf-8"))
+        document[key] = value
+        broken = tmp_path / "metadata.json"
+        broken.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=key):
+            load_model(str(broken))
+
     def test_bad_config_snapshot(self, trained, tmp_path):
         _, _, path = trained
         document = json.load(open(path, encoding="utf-8"))

@@ -17,11 +17,10 @@ from rulemix import (
     TrainingConfig,
     evaluate_candidate,
     fit,
-    predict_mixed,
     solution_residuals,
 )
 
-from conftest import linear_dataset
+from conftest import linear_dataset, predict_mixed
 
 
 def quick_config(seed=0, **kwargs):
@@ -134,11 +133,10 @@ class TestFit:
         stopped = fit(data, quick_config(seed=6, n_phases=8, early_stop=True))
         assert len(stopped.history) <= len(full.history)
 
-    def test_ridge_lambda_overrides_discovery_copy(self):
-        config = TrainingConfig(
-            discovery=DiscoveryParams(ridge_lambda=0.5), ridge_lambda=0.125
-        )
+    def test_ridge_lambda_lives_in_discovery(self):
+        config = TrainingConfig(discovery=DiscoveryParams(ridge_lambda=0.125))
         assert config.discovery.ridge_lambda == 0.125
+        assert not hasattr(config, "ridge_lambda")
 
 
 class TestPredict:
@@ -208,5 +206,5 @@ def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(n_phases=0)
     with pytest.raises(ValueError):
-        TrainingConfig(ridge_lambda=-1.0)
+        TrainingConfig(discovery=DiscoveryParams(ridge_lambda=-1.0))
     assert replace(TrainingConfig(), rng_seed=9).rng_seed == 9
