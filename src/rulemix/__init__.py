@@ -44,6 +44,7 @@ from .model import (
     LinearSubmodel,
     Pool,
     Rule,
+    RuleFitter,
     SolutionCandidate,
     fit_rule,
     mixed_predictions,
@@ -69,6 +70,7 @@ __all__ = [
     "Pool",
     "Rule",
     "RuleDiscoveryError",
+    "RuleFitter",
     "SolutionCandidate",
     "TrainingConfig",
     "candidate_fitness",

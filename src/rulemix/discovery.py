@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitness import FitnessParams, rule_fitness
-from .model import Dataset, IntervalCondition, Rule, fit_rule
+from .model import Dataset, IntervalCondition, Rule, RuleFitter, fit_rule
 
 # Signature of an injectable rule scorer: (fitted rule, iteration index) -> [0, 1].
 # Iteration 0 is the seed individual.
@@ -121,12 +121,12 @@ def discover_rule(
 ) -> Rule:
     """Evolve one rule and return the elitist the stall window settles on.
 
-    Each iteration fits ``lambda_`` mutated children, records the best as that
-    iteration's elitist, and replaces the parent only when strictly improved
-    (plus-selection). The search stops once the elitist from ``delta``
-    iterations ago is strictly fitter than every elitist since, returning that
-    elitist; after ``max_iter`` iterations, or once the parent spans the whole
-    feature box, the best elitist seen wins.
+    Each iteration fits ``lambda_`` mutated children in one batch, records
+    the best as that iteration's elitist, and replaces the parent only when
+    strictly improved (plus-selection). The search stops once the elitist
+    from ``delta`` iterations ago is strictly fitter than every elitist
+    since, returning that elitist; after ``max_iter`` iterations, or once the
+    parent spans the whole feature box, the best elitist seen wins.
 
     ``fitness_fn`` overrides the standard rule fitness; it must map into
     [0, 1] and exists so termination behavior can be exercised directly.
@@ -140,14 +140,17 @@ def discover_rule(
         def fitness_fn(rule: Rule, iteration: int) -> float:
             return rule_fitness(rule, bounds, params.fitness)
 
-    def fit_scored(condition: IntervalCondition, iteration: int) -> Rule:
-        rule = fit_rule(condition, data, params.ridge_lambda)
+    def scored(rule: Rule, iteration: int) -> Rule:
         return replace(rule, fitness=float(fitness_fn(rule, iteration)))
 
     def seed() -> Rule:
         index = select_seed_example(data, residuals, rng)
         condition = initial_condition(data.features[index], data, params.sigma_init, rng)
-        return fit_scored(condition, 0)
+        return scored(fit_rule(condition, data, params.ridge_lambda), 0)
+
+    # Fits all children of an iteration at once; its row products are freed
+    # when this discovery returns.
+    fitter = RuleFitter(data, params.ridge_lambda)
 
     parent = seed()
     reseeds = 0
@@ -173,9 +176,10 @@ def discover_rule(
             rng,
             params.lambda_,
         )
+        children = fitter.fit([IntervalCondition(lo, up) for lo, up in zip(lowers, uppers)])
         best_child: Rule | None = None
-        for k in range(params.lambda_):
-            child = fit_scored(IntervalCondition(lowers[k], uppers[k]), iteration)
+        for child in children:
+            child = scored(child, iteration)
             if best_child is None or child.fitness > best_child.fitness:
                 best_child = child
         elitists.append(best_child)

@@ -10,6 +10,8 @@ most 17 significant digits), so a save/load round trip is value-identical.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -74,9 +76,31 @@ def _require(mapping: dict[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _is_number(value: Any) -> bool:
+    """A finite JSON number. ``bool`` is an ``int`` in Python but not in JSON;
+    ``1e400`` parses to infinity and a long integer overflows a float."""
+    if type(value) is float:
+        return math.isfinite(value)
+    return type(value) is int and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _number(mapping: dict[str, Any], key: str, context: str) -> float:
+    value = _require(mapping, key, context)
+    if not _is_number(value):
+        raise ModelFormatError(f"{context}{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(mapping: dict[str, Any], key: str, context: str) -> int:
+    value = _require(mapping, key, context)
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise ModelFormatError(f"{context}{key!r} must be a 64-bit integer, got {value!r}")
+    return value
+
+
 def _float_vector(value: Any, context: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise ModelFormatError(f"{context} must be a list of numbers")
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ModelFormatError(f"{context} must be a list of finite numbers")
     return np.asarray(value, dtype=float)
 
 
@@ -91,7 +115,7 @@ def load_model(path: str) -> Model:
             document = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ModelFormatError(f"{path} is not a valid model file (truncated or corrupt): {exc}") from exc
     if not isinstance(document, dict):
         raise ModelFormatError(f"{path} is not a model document")
@@ -102,8 +126,11 @@ def load_model(path: str) -> Model:
             f"unsupported model format version {version!r}; this build reads version {FORMAT_VERSION}"
         )
 
+    config_raw = _require(document, "config", "")
+    if not isinstance(config_raw, dict):
+        raise ModelFormatError("config must be an object of flat config keys")
     try:
-        config = config_from_flat(_require(document, "config", ""))
+        config = config_from_flat(config_raw)
     except ConfigError as exc:
         raise ModelFormatError(f"bad config snapshot: {exc}") from exc
 
@@ -136,10 +163,10 @@ def load_model(path: str) -> Model:
             rules.append(
                 Rule(
                     IntervalCondition(lower, upper),
-                    LinearSubmodel(coefficients, float(_require(entry, "intercept", context))),
-                    int(_require(entry, "experience", context)),
-                    float(_require(entry, "in_sample_error", context)),
-                    float(_require(entry, "fitness", context)),
+                    LinearSubmodel(coefficients, _number(entry, "intercept", context)),
+                    _count(entry, "experience", context),
+                    _number(entry, "in_sample_error", context),
+                    _number(entry, "fitness", context),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -157,9 +184,9 @@ def load_model(path: str) -> Model:
     try:
         best = SolutionCandidate(
             genome,
-            float(_require(best_raw, "mse", "best ")),
-            int(_require(best_raw, "complexity", "best ")),
-            float(_require(best_raw, "fitness", "best ")),
+            _number(best_raw, "mse", "best "),
+            _count(best_raw, "complexity", "best "),
+            _number(best_raw, "fitness", "best "),
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"best candidate is invalid: {exc}") from exc
@@ -169,11 +196,11 @@ def load_model(path: str) -> Model:
         raise ModelFormatError("history must be a list")
     history = tuple(
         PhaseMetrics(
-            int(_require(entry, "phase", "history ")),
-            int(_require(entry, "pool_size", "history ")),
-            float(_require(entry, "mse", "history ")),
-            int(_require(entry, "complexity", "history ")),
-            float(_require(entry, "best_fitness", "history ")),
+            _count(entry, "phase", "history "),
+            _count(entry, "pool_size", "history "),
+            _number(entry, "mse", "history "),
+            _count(entry, "complexity", "history "),
+            _number(entry, "best_fitness", "history "),
         )
         for entry in history_raw
     )
@@ -198,7 +225,7 @@ def load_model(path: str) -> Model:
     return Model(
         pool=pool,
         best=best,
-        default_prediction=float(_require(document, "default_prediction", "")),
+        default_prediction=_number(document, "default_prediction", ""),
         feature_bounds=feature_bounds,
         config=config,
         history=history,

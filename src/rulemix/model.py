@@ -142,38 +142,137 @@ class Rule:
         return self.experience == 0
 
 
-def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:
-    """Fit a ridge submodel on the subsample matched by ``condition``.
+# Row products are kept for a fitter's lifetime while they fit in this many
+# floats (32 MiB); beyond it they are rebuilt on every call, in row chunks of
+# at most this many floats, so memory stays bounded for any n.
+PRODUCT_FLOATS = 1 << 22
 
-    The intercept is left unpenalized by fitting on centered data. An empty
-    matched subsample yields a degenerate rule (experience 0, infinite error)
-    instead of raising; callers are expected to discard it. Fitness is left at
-    0 for the fitness layer to fill in.
+
+class RuleFitter:
+    """Fits ridge submodels for many boxes over one dataset at once.
+
+    Each box gets the ridge fit of its matched rows centered on their own
+    mean, so the intercept is unpenalized. The sums behind every box's
+    normal equations come from one matrix product of the boxes' match masks
+    with per-row products of ``w = [1, x - mean(x), y]``; the boxes are then
+    solved as one stack. Each box's ``in_sample_error`` comes from real
+    residuals of its submodel on its matched rows, never from those sums.
+
+    The row products take ``n (d + 2) (d + 3) / 2`` floats, so a fitter
+    should live no longer than the discovery that uses it. ``ridge_lambda = 0``
+    fits each box by centered least squares instead, which handles
+    rank-deficient subsamples.
     """
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be non-negative")
-    mask = condition.match_mask(data.features)
-    matched = int(mask.sum())
-    d = data.n_features
-    if matched == 0:
-        return Rule(condition, LinearSubmodel(np.zeros(d), 0.0), 0, np.inf)
 
-    X = data.features[mask]
-    y = data.targets[mask]
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    Xc = X - x_mean
-    yc = y - y_mean
-    if ridge_lambda > 0:
-        gram = Xc.T @ Xc + ridge_lambda * np.eye(d)
-        coefficients = np.linalg.solve(gram, Xc.T @ yc)
-    else:
-        # Plain least squares; lstsq handles rank-deficient subsamples.
-        coefficients, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-    intercept = y_mean - float(coefficients @ x_mean)
-    residual = y - (X @ coefficients + intercept)
-    mse = float(np.mean(residual**2))
-    return Rule(condition, LinearSubmodel(coefficients, intercept), matched, mse)
+    def __init__(self, data: Dataset, ridge_lambda: float):
+        if ridge_lambda < 0:
+            raise ValueError("ridge_lambda must be non-negative")
+        self.data = data
+        self.ridge_lambda = float(ridge_lambda)
+        # Feature-major copy: each bound test reads one contiguous column.
+        self._columns = np.ascontiguousarray(data.features.T)
+        self._mean = data.features.mean(axis=0)
+        self._upper_rows, self._upper_cols = np.triu_indices(data.n_features + 2)
+        self._chunk = max(1, PRODUCT_FLOATS // self._upper_rows.size)
+        self._products = None
+        if self.ridge_lambda > 0 and data.n_samples <= self._chunk:
+            self._products = self._row_products(slice(None))
+
+    def _row_products(self, rows: slice) -> np.ndarray:
+        """Upper-triangle entries of ``w w'`` for each row ``w = [1, x - mean, y]``,
+        feature-major: one contiguous row per entry, in ``np.triu_indices`` order."""
+        x = self._columns[:, rows] - self._mean[:, None]
+        w = np.vstack([np.ones(x.shape[1]), x, self.data.targets[rows]])
+        return np.vstack([w[i] * w[i:] for i in range(w.shape[0])])
+
+    def _chunks(self) -> Iterator[slice]:
+        n = self.data.n_samples
+        return (slice(start, start + self._chunk) for start in range(0, n, self._chunk))
+
+    def fit(self, conditions: Sequence[IntervalCondition]) -> list[Rule]:
+        """One rule per condition, in order; fitness is left at 0.
+
+        An empty matched subsample yields a degenerate rule (experience 0,
+        infinite error) instead of raising; callers are expected to discard it.
+        """
+        d = self.data.n_features
+        if any(condition.n_features != d for condition in conditions):
+            raise ValueError(f"conditions must have {d} features")
+        lowers = np.array([condition.lower for condition in conditions]).reshape(-1, d)
+        uppers = np.array([condition.upper for condition in conditions]).reshape(-1, d)
+        masks = np.ones((len(conditions), self.data.n_samples), dtype=bool)
+        for j, column in enumerate(self._columns):
+            masks &= lowers[:, j, None] <= column
+            masks &= column <= uppers[:, j, None]
+        counts = masks.sum(axis=1)
+        fitted = np.flatnonzero(counts)
+        masks, matched = masks[fitted], counts[fitted]
+        if self.ridge_lambda > 0:
+            coefficients, intercepts = self._ridge(masks)
+        else:
+            coefficients, intercepts = self._least_squares(masks)
+        errors = self._squared_errors(masks, coefficients, intercepts) / matched
+        fits = zip(coefficients, intercepts, matched, errors)
+        rules = []
+        for condition, count in zip(conditions, counts):
+            if count == 0:
+                rules.append(Rule(condition, LinearSubmodel(np.zeros(d), 0.0), 0, np.inf))
+            else:
+                coefficient, intercept, experience, error = next(fits)
+                rules.append(Rule(condition, LinearSubmodel(coefficient, intercept), experience, error))
+        return rules
+
+    def _ridge(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = self.data.n_features
+        upper = np.zeros((masks.shape[0], self._upper_rows.size))
+        for rows in self._chunks():
+            products = self._products[:, rows] if self._products is not None else self._row_products(rows)
+            upper += masks[:, rows].astype(float) @ products.T
+        sums = np.empty((masks.shape[0], d + 2, d + 2))
+        sums[:, self._upper_rows, self._upper_cols] = upper
+        sums[:, self._upper_cols, self._upper_rows] = upper
+        # Eliminate the intercept explicitly: the scatter of [x, y] about the
+        # box's own mean. Left to a pivoting solve, rows far from the global
+        # mean drown the penalty and the system can turn singular.
+        count = sums[:, 0, 0, None, None]
+        totals = sums[:, 0, 1:]
+        scatter = sums[:, 1:, 1:] - totals[:, :, None] * totals[:, None, :] / count
+        gram = scatter[:, :d, :d]
+        diagonal = np.arange(d)
+        gram[:, diagonal, diagonal] += self.ridge_lambda
+        coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
+        box_means = totals / count[:, :, 0]
+        intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d] + self._mean)
+        return coefficients, intercepts
+
+    def _least_squares(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coefficients = np.empty((masks.shape[0], self.data.n_features))
+        intercepts = np.empty(masks.shape[0])
+        for k, mask in enumerate(masks):
+            X = self.data.features[mask]
+            y = self.data.targets[mask]
+            x_mean = X.mean(axis=0)
+            y_mean = float(y.mean())
+            coefficients[k], *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
+            intercepts[k] = y_mean - float(coefficients[k] @ x_mean)
+        return coefficients, intercepts
+
+    def _squared_errors(self, masks: np.ndarray, coefficients: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+        """Per box, the sum of squared residuals over its matched rows."""
+        total = np.zeros(masks.shape[0])
+        for rows in self._chunks():
+            residuals = coefficients @ self._columns[:, rows]
+            residuals += intercepts[:, None]
+            residuals -= self.data.targets[rows]
+            residuals *= masks[:, rows]
+            total += np.einsum("kn,kn->k", residuals, residuals)
+        return total
+
+
+def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:
+    """Fit a ridge submodel on the subsample matched by ``condition``: the
+    one-box call of :class:`RuleFitter`."""
+    return RuleFitter(data, ridge_lambda).fit([condition])[0]
 
 
 class Pool:

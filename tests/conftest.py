@@ -67,6 +67,27 @@ def predict_mixed(candidate, pool, x, default):
     return numerator / denominator
 
 
+def box_ridge(data, lower, upper, ridge_lambda):
+    """Plain-numpy oracle for one box: ridge on the matched rows centered on
+    their own mean (least squares when ``ridge_lambda`` is 0), intercept
+    unpenalized. Returns (experience, coefficients, intercept, mse); an empty
+    box gives (0, zeros, 0.0, inf)."""
+    X, y = data.features, data.targets
+    mask = np.all((np.asarray(lower) <= X) & (X <= np.asarray(upper)), axis=1)
+    if not mask.any():
+        return 0, np.zeros(X.shape[1]), 0.0, np.inf
+    Xm, ym = X[mask], y[mask]
+    x_mean, y_mean = Xm.mean(axis=0), ym.mean()
+    Xc, yc = Xm - x_mean, ym - y_mean
+    if ridge_lambda > 0:
+        coefficients = np.linalg.solve(Xc.T @ Xc + ridge_lambda * np.eye(X.shape[1]), Xc.T @ yc)
+    else:
+        coefficients = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+    intercept = y_mean - coefficients @ x_mean
+    mse = np.mean((ym - Xm @ coefficients - intercept) ** 2)
+    return int(mask.sum()), coefficients, float(intercept), float(mse)
+
+
 @pytest.fixture
 def square_dataset():
     """2-D features on a grid with a smooth nonlinear target."""

@@ -264,6 +264,24 @@ class TestExitCodes:
         assert "feature_names" in captured.err
         assert " in [" not in captured.out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("config", "x"),
+            ("history", [{"phase": 1, "pool_size": 1, "mse": "abc", "complexity": 1, "best_fitness": 0.5}]),
+        ],
+        ids=["config-not-an-object", "history-mse-not-a-number"],
+    )
+    def test_mistyped_model_field_is_data_error(self, tmp_path, capsys, key, value):
+        document = self._two_feature_document(tmp_path)
+        document[key] = value
+        model = self._write_document(tmp_path, document)
+        features = write_csv(tmp_path / "f.csv", np.full((2, 2), 0.5))
+        out = tmp_path / "p.csv"
+        assert cli(["predict", "--model", model, "--data", features, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import rulemix.discovery
 from rulemix import (
     DiscoveryParams,
     FitnessParams,
     IntervalCondition,
+    RuleFitter,
     discover_rule,
     discover_rules,
     fit_rule,
@@ -199,17 +199,22 @@ class TestDiscoverRule:
         data = linear_dataset(n=200)
         residuals = data.targets - data.targets.mean()
         params = DiscoveryParams()
-        calls = []
+        batch_sizes = []
+        batch_fit = RuleFitter.fit
 
-        def counting_fit_rule(*args):
-            calls.append(1)
-            return fit_rule(*args)
+        def counting_fit(self, conditions):
+            batch_sizes.append(len(conditions))
+            return batch_fit(self, conditions)
 
-        monkeypatch.setattr(rulemix.discovery, "fit_rule", counting_fit_rule)
+        monkeypatch.setattr(RuleFitter, "fit", counting_fit)
         rule = discover_rule(data, residuals, params, np.random.default_rng(0))
         np.testing.assert_array_equal(rule.condition.lower, data.feature_bounds[:, 0])
         np.testing.assert_array_equal(rule.condition.upper, data.feature_bounds[:, 1])
-        assert len(calls) < params.max_iter
+        # The seed's one-box fit, then one batched kernel call per iteration.
+        seed, *iterations = batch_sizes
+        assert seed == 1
+        assert iterations == [params.lambda_] * len(iterations)
+        assert 0 < len(iterations) < params.max_iter
 
 
 class TestDiscoverRules:

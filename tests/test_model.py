@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rulemix.model
 from rulemix import (
     Dataset,
     IntervalCondition,
     LinearSubmodel,
     Pool,
     Rule,
+    RuleFitter,
     SolutionCandidate,
     fit_rule,
     mixed_predictions,
@@ -16,7 +18,7 @@ from rulemix import (
 )
 from rulemix.model import RulePredictionTable
 
-from conftest import linear_dataset, matches, predict_mixed, predict_one
+from conftest import box_ridge, linear_dataset, matches, predict_mixed, predict_one
 
 
 def ridge_oracle(X, y, lam):
@@ -167,6 +169,84 @@ class TestFitRule:
         cond = IntervalCondition([-0.5], [0.5])
         rule = fit_rule(cond, data, 0.01)
         assert rule.experience == int(cond.match_mask(data.features).sum())
+
+
+class TestRuleFitter:
+    @staticmethod
+    def boxes(data, rng, count=12):
+        """Random boxes plus an empty box, a one-row box and the full box."""
+        lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
+        conditions = []
+        for _ in range(count):
+            a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            conditions.append(IntervalCondition(np.minimum(a, b), np.maximum(a, b)))
+        conditions.append(IntervalCondition(hi + 1.0, hi + 2.0))
+        conditions.append(IntervalCondition(data.features[3], data.features[3]))
+        conditions.append(IntervalCondition(lo, hi))
+        return conditions
+
+    @staticmethod
+    def assert_matches_oracle(data, conditions, rules, ridge_lambda):
+        for condition, rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(
+                data, condition.lower, condition.upper, ridge_lambda
+            )
+            assert rule.condition is condition
+            assert rule.experience == experience
+            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=0, atol=1e-8)
+            assert abs(rule.submodel.intercept - intercept) <= 1e-8
+            if experience == 0:
+                assert rule.in_sample_error == np.inf
+            else:
+                assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("ridge_lambda", [0.0, 0.01, 10.0])
+    def test_batch_matches_per_box_oracle(self, ridge_lambda):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(120, 3))
+        data = Dataset(X, X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 120))
+        conditions = self.boxes(data, rng)
+        rules = RuleFitter(data, ridge_lambda).fit(conditions)
+        assert [rule.experience for rule in rules[-3:]] == [0, 1, 120]
+        self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
+
+    def test_row_chunks_match_cached_products(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-1.0, 1.0, size=(97, 2))
+        data = Dataset(X, np.abs(X[:, 0]) + X[:, 1])
+        conditions = self.boxes(data, rng)
+        cached = RuleFitter(data, 0.01).fit(conditions)
+        monkeypatch.setattr(rulemix.model, "PRODUCT_FLOATS", 50)  # 5-row chunks
+        chunked = RuleFitter(data, 0.01).fit(conditions)
+        for a, b in zip(cached, chunked):
+            assert a.experience == b.experience
+            np.testing.assert_allclose(a.submodel.coefficients, b.submodel.coefficients, atol=1e-12)
+            assert a.submodel.intercept == pytest.approx(b.submodel.intercept, abs=1e-12)
+            assert a.in_sample_error == pytest.approx(b.in_sample_error, rel=1e-12)
+
+    def test_features_far_from_their_mean_and_scale(self):
+        # Large offsets and scales must neither drown the penalty nor make
+        # the stacked systems singular: one-row boxes still fit exactly.
+        rng = np.random.default_rng(7)
+        X = 1e8 * rng.uniform(4.0, 6.0, size=(80, 3))
+        data = Dataset(X, rng.normal(size=80))
+        conditions = [IntervalCondition(row, row) for row in data.features[:5]]
+        hi, width = data.feature_bounds[:, 1], np.ptp(data.features, axis=0)
+        conditions += [IntervalCondition(hi - share * width, hi) for share in (0.5, 0.8)]
+        rules = RuleFitter(data, 0.01).fit(conditions)
+        for condition, rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(
+                data, condition.lower, condition.upper, 0.01
+            )
+            assert rule.experience == experience
+            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=1e-8, atol=1e-12)
+            assert rule.submodel.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
+            assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
+
+    def test_wrong_width_condition_rejected(self):
+        data = Dataset([[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0])
+        with pytest.raises(ValueError):
+            RuleFitter(data, 0.01).fit([IntervalCondition([0.0], [1.0])])
 
 
 class TestPredictRule:

@@ -116,15 +116,50 @@ class TestFormatErrors:
             ("feature_names", [1]),
             ("target_column", 3),
             ("target_column", ["y"]),
+            ("config", "x"),
+            ("history.0.mse", "abc"),
+            ("rules.0.experience", True),
+            ("rules.0.experience", 1.9),
+            ("rules.0.intercept", "1.5"),
+            ("rules.0.lower", [True]),
+            ("best.complexity", 1.9),
+            ("best.fitness", False),
+            ("rules.0.experience", 2**64),
+            pytest.param("default_prediction", 10**400, id="default_prediction-long-int"),
         ],
     )
     def test_bad_metadata_rejected(self, trained, tmp_path, key, value):
+        # ``key`` is a dotted path into the document; digits index lists.
         _, _, path = trained
         document = json.load(open(path, encoding="utf-8"))
-        document[key] = value
+        *parents, field = [int(part) if part.isdigit() else part for part in key.split(".")]
+        target = document
+        for part in parents:
+            target = target[part]
+        target[field] = value
         broken = tmp_path / "metadata.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=key):
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(str(broken))
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("1e400", "default_prediction"),
+            ("-1e400", "default_prediction"),
+            ("1" + "0" * 5000, "not a valid model file"),
+        ],
+        ids=["1e400", "-1e400", "5001-digit-int"],
+    )
+    def test_overflowing_number_rejected(self, trained, tmp_path, literal, message):
+        # json parses the first two to infinities without reaching
+        # parse_constant, and refuses to parse the last one at all.
+        _, _, path = trained
+        document = json.load(open(path, encoding="utf-8"))
+        document["default_prediction"] = "TOKEN"
+        broken = tmp_path / "overflow.json"
+        broken.write_text(json.dumps(document).replace('"TOKEN"', literal), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
             load_model(str(broken))
 
     def test_bad_config_snapshot(self, trained, tmp_path):

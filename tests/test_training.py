@@ -17,6 +17,7 @@ from rulemix import (
     TrainingConfig,
     evaluate_candidate,
     fit,
+    save_model,
     solution_residuals,
 )
 
@@ -137,6 +138,26 @@ class TestFit:
         config = TrainingConfig(discovery=DiscoveryParams(ridge_lambda=0.125))
         assert config.discovery.ridge_lambda == 0.125
         assert not hasattr(config, "ridge_lambda")
+
+    def test_zero_ridge_lambda_on_rank_deficient_data(self, tmp_path):
+        # A constant column and every row twice: no matched subsample has a
+        # full-rank design, so only least squares can fit it.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 40)
+        X = np.tile(np.column_stack([x, np.full(40, 2.5)]), (2, 1))
+        data = Dataset(X, np.abs(X[:, 0]))
+        discovery = replace(quick_config().discovery, ridge_lambda=0.0)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model = fit(data, quick_config(seed=4, discovery=discovery))
+            save_model(model, str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(model.pool) == model.config.n_phases * discovery.rules_per_phase
+        for rule in model.pool:
+            assert rule.experience >= 1
+            assert np.all(np.isfinite(rule.submodel.coefficients))
+            assert np.isfinite(rule.submodel.intercept)
+            assert np.isfinite(rule.in_sample_error)
 
 
 class TestPredict:
