@@ -148,15 +148,14 @@ def discover_rule(
         condition = initial_condition(data.features[index], data, params.sigma_init, rng)
         return scored(fit_rule(condition, data, params.ridge_lambda), 0)
 
-    # Fits all children of an iteration at once; its row products are freed
-    # when this discovery returns.
-    fitter = RuleFitter(data, params.ridge_lambda)
-
     parent = seed()
     reseeds = 0
     while parent.is_degenerate and reseeds < params.max_reseed:
         reseeds += 1
         parent = seed()
+
+    # Fits all children of an iteration at once.
+    fitter = RuleFitter(data, params.ridge_lambda)
 
     elitists = [parent]
     for iteration in range(1, params.max_iter + 1):

@@ -142,9 +142,8 @@ class Rule:
         return self.experience == 0
 
 
-# Row products are kept for a fitter's lifetime while they fit in this many
-# floats (32 MiB); beyond it they are rebuilt on every call, in row chunks of
-# at most this many floats, so memory stays bounded for any n.
+# Row products are built in row chunks of at most this many floats (32 MiB),
+# so the memory a fit takes stays bounded however many rows the boxes match.
 PRODUCT_FLOATS = 1 << 22
 
 
@@ -154,14 +153,17 @@ class RuleFitter:
     Each box gets the ridge fit of its matched rows centered on their own
     mean, so the intercept is unpenalized. The sums behind every box's
     normal equations come from one matrix product of the boxes' match masks
-    with per-row products of ``w = [1, x - mean(x), y]``; the boxes are then
-    solved as one stack. Each box's ``in_sample_error`` comes from real
-    residuals of its submodel on its matched rows, never from those sums.
+    with per-row products of ``w = [1, x, y]``, taken over the rows some box
+    matches; the boxes are then solved as one stack. Each box's
+    ``in_sample_error`` comes from real residuals of its submodel on its
+    matched rows, never from those sums.
 
-    The row products take ``n (d + 2) (d + 3) / 2`` floats, so a fitter
-    should live no longer than the discovery that uses it. ``ridge_lambda = 0``
-    fits each box by centered least squares instead, which handles
-    rank-deficient subsamples.
+    ``w`` is centered on the mean of the rows every box matches. A box
+    containing those rows has a mean no farther from it than its own spread
+    allows, so removing the box mean from the sums loses no more than a
+    factor of rows-per-shared-row in precision. Boxes with no row in common
+    are fitted one at a time. ``ridge_lambda = 0`` fits each box by centered
+    least squares instead, which handles rank-deficient subsamples.
     """
 
     def __init__(self, data: Dataset, ridge_lambda: float):
@@ -171,22 +173,10 @@ class RuleFitter:
         self.ridge_lambda = float(ridge_lambda)
         # Feature-major copy: each bound test reads one contiguous column.
         self._columns = np.ascontiguousarray(data.features.T)
-        self._mean = data.features.mean(axis=0)
         self._upper_rows, self._upper_cols = np.triu_indices(data.n_features + 2)
         self._chunk = max(1, PRODUCT_FLOATS // self._upper_rows.size)
-        self._products = None
-        if self.ridge_lambda > 0 and data.n_samples <= self._chunk:
-            self._products = self._row_products(slice(None))
 
-    def _row_products(self, rows: slice) -> np.ndarray:
-        """Upper-triangle entries of ``w w'`` for each row ``w = [1, x - mean, y]``,
-        feature-major: one contiguous row per entry, in ``np.triu_indices`` order."""
-        x = self._columns[:, rows] - self._mean[:, None]
-        w = np.vstack([np.ones(x.shape[1]), x, self.data.targets[rows]])
-        return np.vstack([w[i] * w[i:] for i in range(w.shape[0])])
-
-    def _chunks(self) -> Iterator[slice]:
-        n = self.data.n_samples
+    def _chunks(self, n: int) -> Iterator[slice]:
         return (slice(start, start + self._chunk) for start in range(0, n, self._chunk))
 
     def fit(self, conditions: Sequence[IntervalCondition]) -> list[Rule]:
@@ -206,12 +196,15 @@ class RuleFitter:
             masks &= column <= uppers[:, j, None]
         counts = masks.sum(axis=1)
         fitted = np.flatnonzero(counts)
-        masks, matched = masks[fitted], counts[fitted]
+        # Only rows some box matches take part in the fits.
+        rows = np.flatnonzero(masks[fitted].any(axis=0))
+        masks, matched = masks[np.ix_(fitted, rows)], counts[fitted]
+        X, y = self._columns[:, rows], self.data.targets[rows]
         if self.ridge_lambda > 0:
-            coefficients, intercepts = self._ridge(masks)
+            coefficients, intercepts = self._ridge(masks, X, y)
         else:
-            coefficients, intercepts = self._least_squares(masks)
-        errors = self._squared_errors(masks, coefficients, intercepts) / matched
+            coefficients, intercepts = self._least_squares(masks, X, y)
+        errors = self._squared_errors(masks, X, y, coefficients, intercepts) / matched
         fits = zip(coefficients, intercepts, matched, errors)
         rules = []
         for condition, count in zip(conditions, counts):
@@ -222,18 +215,33 @@ class RuleFitter:
                 rules.append(Rule(condition, LinearSubmodel(coefficient, intercept), experience, error))
         return rules
 
-    def _ridge(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = self.data.n_features
+    def _ridge(self, masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ridge fits of non-empty boxes given by ``masks`` over the
+        feature-major rows ``X`` and targets ``y``."""
+        shared = masks.all(axis=0)
+        if not shared.any():
+            # No row in common, or no box at all: fit each box alone.
+            coefficients = np.empty((masks.shape[0], X.shape[0]))
+            intercepts = np.empty(masks.shape[0])
+            for k, mask in enumerate(masks):
+                (coefficients[k],), (intercepts[k],) = self._ridge(mask[None, mask], X[:, mask], y[mask])
+            return coefficients, intercepts
+        d = X.shape[0]
+        w = np.vstack([np.ones(X.shape[1]), X, y])
+        reference = w[:, shared].mean(axis=1)
+        reference[0] = 0.0  # the leading row of ones stays ones
+        w -= reference[:, None]
         upper = np.zeros((masks.shape[0], self._upper_rows.size))
-        for rows in self._chunks():
-            products = self._products[:, rows] if self._products is not None else self._row_products(rows)
+        for rows in self._chunks(w.shape[1]):
+            block = w[:, rows]
+            products = np.vstack([block[i] * block[i:] for i in range(d + 2)])
             upper += masks[:, rows].astype(float) @ products.T
         sums = np.empty((masks.shape[0], d + 2, d + 2))
         sums[:, self._upper_rows, self._upper_cols] = upper
         sums[:, self._upper_cols, self._upper_rows] = upper
         # Eliminate the intercept explicitly: the scatter of [x, y] about the
-        # box's own mean. Left to a pivoting solve, rows far from the global
-        # mean drown the penalty and the system can turn singular.
+        # box's own mean. Left to a pivoting solve, rows far from the
+        # reference drown the penalty and the system can turn singular.
         count = sums[:, 0, 0, None, None]
         totals = sums[:, 0, 1:]
         scatter = sums[:, 1:, 1:] - totals[:, :, None] * totals[:, None, :] / count
@@ -241,29 +249,31 @@ class RuleFitter:
         diagonal = np.arange(d)
         gram[:, diagonal, diagonal] += self.ridge_lambda
         coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
-        box_means = totals / count[:, :, 0]
-        intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d] + self._mean)
+        box_means = totals / count[:, :, 0] + reference[1:]
+        intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d])
         return coefficients, intercepts
 
-    def _least_squares(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coefficients = np.empty((masks.shape[0], self.data.n_features))
+    @staticmethod
+    def _least_squares(masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coefficients = np.empty((masks.shape[0], X.shape[0]))
         intercepts = np.empty(masks.shape[0])
         for k, mask in enumerate(masks):
-            X = self.data.features[mask]
-            y = self.data.targets[mask]
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            coefficients[k], *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
+            Xm = X[:, mask].T
+            x_mean = Xm.mean(axis=0)
+            y_mean = float(y[mask].mean())
+            coefficients[k], *_ = np.linalg.lstsq(Xm - x_mean, y[mask] - y_mean, rcond=None)
             intercepts[k] = y_mean - float(coefficients[k] @ x_mean)
         return coefficients, intercepts
 
-    def _squared_errors(self, masks: np.ndarray, coefficients: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    def _squared_errors(
+        self, masks: np.ndarray, X: np.ndarray, y: np.ndarray, coefficients: np.ndarray, intercepts: np.ndarray
+    ) -> np.ndarray:
         """Per box, the sum of squared residuals over its matched rows."""
         total = np.zeros(masks.shape[0])
-        for rows in self._chunks():
-            residuals = coefficients @ self._columns[:, rows]
+        for rows in self._chunks(X.shape[1]):
+            residuals = coefficients @ X[:, rows]
             residuals += intercepts[:, None]
-            residuals -= self.data.targets[rows]
+            residuals -= y[rows]
             residuals *= masks[:, rows]
             total += np.einsum("kn,kn->k", residuals, residuals)
         return total

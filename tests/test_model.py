@@ -186,6 +186,19 @@ class TestRuleFitter:
         return conditions
 
     @staticmethod
+    def nested_boxes(data, rng, count=12):
+        """A box around one row and ``count`` boxes grown outward from it,
+        the shape of one discovery iteration: every box shares its rows."""
+        lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
+        width = hi - lo
+        lower, upper = data.features[3] - 0.1 * width, data.features[3] + 0.1 * width
+        conditions = [IntervalCondition(np.maximum(lower, lo), np.minimum(upper, hi))]
+        for _ in range(count):
+            grow = rng.uniform(0.0, 0.5, size=(2, lo.shape[0])) * width
+            conditions.append(IntervalCondition(np.maximum(lower - grow[0], lo), np.minimum(upper + grow[1], hi)))
+        return conditions
+
+    @staticmethod
     def assert_matches_oracle(data, conditions, rules, ridge_lambda):
         for condition, rule in zip(conditions, rules):
             experience, coefficients, intercept, mse = box_ridge(
@@ -206,19 +219,25 @@ class TestRuleFitter:
         X = rng.normal(size=(120, 3))
         data = Dataset(X, X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 120))
         conditions = self.boxes(data, rng)
-        rules = RuleFitter(data, ridge_lambda).fit(conditions)
+        fitter = RuleFitter(data, ridge_lambda)
+        rules = fitter.fit(conditions)
         assert [rule.experience for rule in rules[-3:]] == [0, 1, 120]
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
+        nested = self.nested_boxes(data, rng)
+        self.assert_matches_oracle(data, nested, fitter.fit(nested), ridge_lambda)
+        assert fitter.fit([]) == []
+        assert fitter.fit(conditions[-3:-2])[0].is_degenerate
 
-    def test_row_chunks_match_cached_products(self, monkeypatch):
+    @pytest.mark.parametrize("shape", ["random", "nested"])
+    def test_row_chunks_match_one_pass(self, monkeypatch, shape):
         rng = np.random.default_rng(6)
         X = rng.uniform(-1.0, 1.0, size=(97, 2))
         data = Dataset(X, np.abs(X[:, 0]) + X[:, 1])
-        conditions = self.boxes(data, rng)
-        cached = RuleFitter(data, 0.01).fit(conditions)
+        conditions = self.boxes(data, rng) if shape == "random" else self.nested_boxes(data, rng)
+        one_pass = RuleFitter(data, 0.01).fit(conditions)
         monkeypatch.setattr(rulemix.model, "PRODUCT_FLOATS", 50)  # 5-row chunks
         chunked = RuleFitter(data, 0.01).fit(conditions)
-        for a, b in zip(cached, chunked):
+        for a, b in zip(one_pass, chunked):
             assert a.experience == b.experience
             np.testing.assert_allclose(a.submodel.coefficients, b.submodel.coefficients, atol=1e-12)
             assert a.submodel.intercept == pytest.approx(b.submodel.intercept, abs=1e-12)
@@ -239,6 +258,42 @@ class TestRuleFitter:
                 data, condition.lower, condition.upper, 0.01
             )
             assert rule.experience == experience
+            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=1e-8, atol=1e-12)
+            assert rule.submodel.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
+            assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
+
+    def test_narrow_box_at_the_edge_of_a_wide_feature(self):
+        # A box a few units wide at the edge of a feature spanning 1e6 lies
+        # far from the feature's mean; its scatter must keep every digit.
+        rng = np.random.default_rng(8)
+        x0 = np.concatenate([rng.uniform(0.0, 1e6, 300), 1e6 - rng.uniform(0.0, 2.0, 20)])
+        X = np.column_stack([x0, rng.normal(size=320)])
+        data = Dataset(X, 3.0 * (x0 - 1e6) + X[:, 1] + rng.normal(0.0, 0.1, 320))
+        lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
+        parent = IntervalCondition([1e6 - 1.0, lo[1]], hi)
+        children = [IntervalCondition([1e6 - width, lo[1]], hi) for width in (1.5, 2.0, 3.0)]
+        conditions = [parent, *children]
+        self.assert_close_to_oracle(data, conditions, RuleFitter(data, 0.01).fit(conditions))
+        self.assert_close_to_oracle(data, [parent], [fit_rule(parent, data, 0.01)])
+
+    def test_box_constant_in_a_far_offset_column(self):
+        # Inside the boxes the first column is constant at 1e6, half its
+        # range from its mean: it must get a zero scatter and coefficient.
+        rng = np.random.default_rng(9)
+        X = np.column_stack([rng.choice([0.0, 1e6], 400), rng.uniform(-1.0, 1.0, 400)])
+        data = Dataset(X, X[:, 1] ** 2 + rng.normal(0.0, 0.1, 400))
+        conditions = [IntervalCondition([1e6, -0.5 - s], [1e6, 0.5 + s]) for s in (0.0, 0.1, 0.3)]
+        rules = RuleFitter(data, 0.01).fit(conditions)
+        self.assert_close_to_oracle(data, conditions, rules)
+        assert all(rule.submodel.coefficients[0] == 0.0 for rule in rules)
+
+    @staticmethod
+    def assert_close_to_oracle(data, conditions, rules):
+        for condition, rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(
+                data, condition.lower, condition.upper, 0.01
+            )
+            assert rule.experience == experience > 0
             np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=1e-8, atol=1e-12)
             assert rule.submodel.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
             assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
