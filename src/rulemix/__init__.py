@@ -45,9 +45,9 @@ from .model import (
     Pool,
     Rule,
     RuleFitter,
+    RulePredictionTable,
     SolutionCandidate,
     fit_rule,
-    mixed_predictions,
     mixing_weight,
     solution_residuals,
 )
@@ -71,6 +71,7 @@ __all__ = [
     "Rule",
     "RuleDiscoveryError",
     "RuleFitter",
+    "RulePredictionTable",
     "SolutionCandidate",
     "TrainingConfig",
     "candidate_fitness",
@@ -89,7 +90,6 @@ __all__ = [
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",
-    "mixed_predictions",
     "mixing_weight",
     "mutate_bits",
     "pad_genome",

@@ -47,21 +47,18 @@ def evaluate_candidate(
     pool: Pool,
     data: Dataset,
     params: CompositionParams,
-    table: Optional[RulePredictionTable] = None,
+    table: RulePredictionTable,
 ) -> SolutionCandidate:
     """Score a genome: in-sample MSE of the mixed prediction over the full
     training set, complexity, and the combined candidate fitness.
 
-    ``table`` may carry precomputed per-rule predictions for this pool and
-    dataset; one is built on the fly otherwise.
+    ``table`` holds the per-rule masks and predictions of ``pool`` over
+    ``data.features``.
     """
     genome = np.asarray(genome, dtype=bool)
     if genome.shape != (len(pool),):
         raise ValueError(f"genome length {genome.shape} does not match pool size {len(pool)}")
-    if table is None:
-        table = RulePredictionTable.build(pool.rules, data.features)
-    default = float(data.targets.mean())
-    predictions = table.mixed(genome, default)
+    predictions = table.mixed(genome, data.target_mean)
     mse = float(np.mean((data.targets - predictions) ** 2))
     complexity = int(genome.sum())
     fitness = candidate_fitness(mse, complexity, len(pool), params.fitness)

@@ -3,6 +3,7 @@ mapping used for model-file config snapshots."""
 
 from __future__ import annotations
 
+import math
 from typing import Any, Union
 
 from ..composition import CompositionParams
@@ -41,35 +42,29 @@ _SCHEMA: dict[str, tuple[str, Any]] = {
 }
 
 
+_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_value(key: str, kind: str, raw: Union[str, int, float, bool]) -> Any:
-    if isinstance(raw, str):
-        text = raw.strip()
-        try:
-            if kind == "int":
-                return int(text)
-            if kind == "float":
-                value = float(text)
-                if value != value or value in (float("inf"), float("-inf")):
-                    raise ValueError
-                return value
-            if kind == "bool":
-                lowered = text.lower()
-                if lowered in ("true", "1", "yes"):
-                    return True
-                if lowered in ("false", "0", "no"):
-                    return False
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"invalid {kind} value {raw!r} for key {key!r}") from None
-    if kind == "int" and isinstance(raw, bool):
-        raise ConfigError(f"invalid int value {raw!r} for key {key!r}")
-    if kind == "int" and isinstance(raw, int):
-        return raw
-    if kind == "float" and isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    if kind == "bool" and isinstance(raw, bool):
-        return raw
-    raise ConfigError(f"invalid {kind} value {raw!r} for key {key!r}")
+    """``raw`` as a ``kind`` value: config files give text, model files JSON
+    scalars. A float must be finite either way, and a ``bool`` is no number."""
+    try:
+        if isinstance(raw, str):
+            text = raw.strip()
+            value = _WORDS[text.lower()] if kind == "bool" else (int if kind == "int" else float)(text)
+        elif isinstance(raw, bool) != (kind == "bool"):
+            raise ValueError
+        elif kind == "float" and isinstance(raw, (int, float)):
+            value = float(raw)
+        elif kind != "float" and isinstance(raw, int):
+            value = raw
+        else:
+            raise ValueError
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError
+    except (KeyError, ValueError, OverflowError):
+        raise ConfigError(f"invalid {kind} value {raw!r} for key {key!r}") from None
+    return value
 
 
 def config_from_flat(flat: dict[str, Any]) -> TrainingConfig:

@@ -1,5 +1,10 @@
 """Core domain types: datasets, interval-matched linear rules, rule pools,
-solution candidates, and weighted mixing of rule predictions."""
+solution candidates, and weighted mixing of rule predictions.
+
+Rule fits, composition and prediction all find the rows a box matches with
+one routine, :func:`match_masks`, which tests every box against one feature
+column at a time; and all mixing goes through :meth:`RulePredictionTable.mixed`.
+"""
 
 from __future__ import annotations
 
@@ -19,12 +24,14 @@ class Dataset:
 
     ``feature_bounds[i] = (min, max)`` over the training features. Rule
     conditions are clipped against these bounds and volume shares are
-    normalized by them.
+    normalized by them. ``target_mean`` is the fallback prediction for inputs
+    no rule matches.
     """
 
     features: np.ndarray
     targets: np.ndarray
     feature_bounds: np.ndarray = field(init=False)
+    target_mean: float = field(init=False)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -44,6 +51,7 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "feature_bounds", bounds)
+        object.__setattr__(self, "target_mean", float(targets.mean()))
 
     @property
     def n_samples(self) -> int:
@@ -80,12 +88,24 @@ class IntervalCondition:
     def n_features(self) -> int:
         return self.lower.shape[0]
 
-    def match_mask(self, X: np.ndarray) -> np.ndarray:
-        """Boolean mask over the rows of ``X`` that this condition matches."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected matrix with {self.n_features} columns, got shape {X.shape}")
-        return np.all((self.lower <= X) & (X <= self.upper), axis=1)
+
+def match_masks(conditions: Sequence[IntervalCondition], columns: np.ndarray) -> np.ndarray:
+    """(boxes x rows) mask of the rows each condition matches, from the
+    feature-major matrix ``columns`` (one row per feature).
+
+    Every bound test reads one contiguous column, and all boxes are tested
+    against it at once.
+    """
+    d = columns.shape[0]
+    if any(condition.n_features != d for condition in conditions):
+        raise ValueError(f"conditions must have {d} features, one per input column")
+    lowers = np.array([condition.lower for condition in conditions]).reshape(-1, d)
+    uppers = np.array([condition.upper for condition in conditions]).reshape(-1, d)
+    masks = np.ones((len(conditions), columns.shape[1]), dtype=bool)
+    for j, column in enumerate(columns):
+        masks &= lowers[:, j, None] <= column
+        masks &= column <= uppers[:, j, None]
+    return masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +206,7 @@ class RuleFitter:
         infinite error) instead of raising; callers are expected to discard it.
         """
         d = self.data.n_features
-        if any(condition.n_features != d for condition in conditions):
-            raise ValueError(f"conditions must have {d} features")
-        lowers = np.array([condition.lower for condition in conditions]).reshape(-1, d)
-        uppers = np.array([condition.upper for condition in conditions]).reshape(-1, d)
-        masks = np.ones((len(conditions), self.data.n_samples), dtype=bool)
-        for j, column in enumerate(self._columns):
-            masks &= lowers[:, j, None] <= column
-            masks &= column <= uppers[:, j, None]
+        masks = match_masks(conditions, self._columns)
         counts = masks.sum(axis=1)
         fitted = np.flatnonzero(counts)
         # Only rows some box matches take part in the fits.
@@ -357,17 +370,18 @@ class RulePredictionTable:
     @classmethod
     def build(cls, rules: Sequence[Rule], X: np.ndarray) -> "RulePredictionTable":
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        masks = np.zeros((len(rules), n), dtype=bool)
-        predictions = np.zeros((len(rules), n), dtype=float)
-        weights = np.zeros(len(rules), dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"expected a 2-D input matrix, got shape {X.shape}")
+        masks = match_masks([rule.condition for rule in rules], np.ascontiguousarray(X.T))
+        predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
         for k, rule in enumerate(rules):
-            masks[k] = rule.condition.match_mask(X)
             predictions[k] = rule.submodel.predict_batch(X)
-            weights[k] = mixing_weight(rule)
+        weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
         return cls(masks, predictions, weights)
 
     def mixed(self, selected: np.ndarray, default: float) -> np.ndarray:
+        """Row-wise mixed prediction of the selected rules; ``default`` where
+        none of them matches."""
         selected = np.asarray(selected, dtype=bool)
         if selected.shape[0] != self.masks.shape[0]:
             raise ValueError("selection length does not match the table")
@@ -379,12 +393,6 @@ class RulePredictionTable:
         return out
 
 
-def mixed_predictions(rules: Sequence[Rule], X: np.ndarray, default: float) -> np.ndarray:
-    """Row-wise mixed prediction of ``rules`` over ``X``."""
-    table = RulePredictionTable.build(rules, X)
-    return table.mixed(np.ones(len(rules), dtype=bool), default)
-
-
 def solution_residuals(candidate: SolutionCandidate, pool: Pool, data: Dataset) -> np.ndarray:
     """Per-example residuals of the candidate's mixed prediction.
 
@@ -393,6 +401,5 @@ def solution_residuals(candidate: SolutionCandidate, pool: Pool, data: Dataset) 
     """
     if candidate.genome.shape[0] != len(pool):
         raise ValueError(f"genome length {candidate.genome.shape[0]} does not match pool size {len(pool)}")
-    default = float(data.targets.mean())
-    selected = [pool[i] for i in np.flatnonzero(candidate.genome)]
-    return data.targets - mixed_predictions(selected, data.features, default)
+    table = RulePredictionTable.build(pool.rules, data.features)
+    return data.targets - table.mixed(candidate.genome, data.target_mean)

@@ -11,14 +11,7 @@ import numpy as np
 from .composition import CompositionParams, compose
 from .discovery import DiscoveryParams, RuleDiscoveryError, discover_rules
 from .fitness import volume_share
-from .model import (
-    Dataset,
-    Pool,
-    Rule,
-    SolutionCandidate,
-    mixed_predictions,
-    solution_residuals,
-)
+from .model import Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate, solution_residuals
 
 # Optional early stop: quit when the best fitness improves by less than the
 # tolerance for this many consecutive phases.
@@ -43,6 +36,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.n_phases < 1:
             raise ValueError("n_phases must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.discovery.fitness.beta != self.composition.fitness.beta:
             raise ValueError("discovery and composition fitness must share one beta")
 
@@ -90,14 +85,15 @@ class Model:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected matrix with {self.n_features} columns, got shape {X.shape}")
         rules = [rule for _, rule in self.selected_rules()]
-        return mixed_predictions(rules, X, self.default_prediction)
+        table = RulePredictionTable.build(rules, X)
+        return table.mixed(np.ones(len(rules), dtype=bool), self.default_prediction)
 
     def score(self, data: Dataset) -> dict[str, float]:
         """MSE, R^2, complexity, pool size, and mean selected-rule volume."""
         predictions = self.predict(data.features)
         errors = data.targets - predictions
         sse = float(np.sum(errors**2))
-        sst = float(np.sum((data.targets - data.targets.mean()) ** 2))
+        sst = float(np.sum((data.targets - data.target_mean) ** 2))
         if sst > 0:
             r2 = 1.0 - sse / sst
         else:
@@ -126,8 +122,7 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     """
     rng = np.random.default_rng(config.rng_seed)
     pool = Pool()
-    default_prediction = float(data.targets.mean())
-    residuals = data.targets - default_prediction
+    residuals = data.targets - data.target_mean
 
     population: Optional[Sequence[SolutionCandidate]] = None
     best: Optional[SolutionCandidate] = None
@@ -154,4 +149,4 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
 
     if best is None:
         raise RuleDiscoveryError("rule discovery produced no usable rules in any phase")
-    return Model(pool, best, default_prediction, data.feature_bounds, config, tuple(history))
+    return Model(pool, best, data.target_mean, data.feature_bounds, config, tuple(history))

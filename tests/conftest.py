@@ -39,9 +39,18 @@ def grow_condition(parent, data, sigma, rng):
     return IntervalCondition(lowers[0], uppers[0])
 
 
+def match_mask(condition, X):
+    """Plain-numpy oracle for one box: the rows of ``X`` inside ``condition``
+    on every axis, both bounds inclusive."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != condition.n_features:
+        raise ValueError(f"expected matrix with {condition.n_features} columns, got shape {X.shape}")
+    return np.all((condition.lower <= X) & (X <= condition.upper), axis=1)
+
+
 def matches(condition, x):
     """Whether the single input ``x`` lies in ``condition``'s box."""
-    return bool(condition.match_mask(np.atleast_2d(x))[0])
+    return bool(match_mask(condition, np.atleast_2d(x))[0])
 
 
 def predict_one(rule, x):

@@ -282,6 +282,17 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_config_value_is_data_error(self, tmp_path, capsys):
+        document = self._two_feature_document(tmp_path)
+        document["config"]["discovery.mutation_sigma"] = "TOKEN"
+        model = tmp_path / "edited.json"
+        model.write_text(json.dumps(document).replace('"TOKEN"', "1e400"), encoding="utf-8")
+        features = write_csv(tmp_path / "f.csv", np.full((2, 2), 0.5))
+        out = tmp_path / "p.csv"
+        assert cli(["predict", "--model", str(model), "--data", features, "--out", str(out)]) == 2
+        assert "discovery.mutation_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

@@ -21,6 +21,7 @@ from rulemix import (
     pad_genome,
     tournament_select,
 )
+from rulemix.model import RulePredictionTable
 
 from conftest import linear_dataset
 
@@ -37,12 +38,17 @@ def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> 
     return Pool(rules)
 
 
+def evaluate(genome, pool, data, params):
+    """``evaluate_candidate`` with a table built for this pool and dataset."""
+    return evaluate_candidate(genome, pool, data, params, RulePredictionTable.build(pool.rules, data.features))
+
+
 def enumerate_best(pool, data, params):
     """Brute-force oracle: evaluate every genome over the pool."""
     n = len(pool)
     best = None
     for bits in itertools.product([False, True], repeat=n):
-        candidate = evaluate_candidate(np.array(bits), pool, data, params)
+        candidate = evaluate(np.array(bits), pool, data, params)
         if best is None or candidate.cached_fitness > best.cached_fitness:
             best = candidate
     return best
@@ -52,7 +58,7 @@ class TestEvaluateCandidate:
     def test_all_zeros_is_the_default_predictor(self, square_dataset):
         pool = build_pool(square_dataset, 4)
         params = CompositionParams()
-        candidate = evaluate_candidate(np.zeros(4, dtype=bool), pool, square_dataset, params)
+        candidate = evaluate(np.zeros(4, dtype=bool), pool, square_dataset, params)
         default = square_dataset.targets.mean()
         expected_mse = float(np.mean((square_dataset.targets - default) ** 2))
         assert candidate.cached_complexity == 0
@@ -62,8 +68,8 @@ class TestEvaluateCandidate:
         pool = build_pool(square_dataset, 5)
         params = CompositionParams()
         genome = np.array([1, 0, 1, 1, 0], dtype=bool)
-        a = evaluate_candidate(genome, pool, square_dataset, params)
-        b = evaluate_candidate(genome, pool, square_dataset, params)
+        a = evaluate(genome, pool, square_dataset, params)
+        b = evaluate(genome, pool, square_dataset, params)
         assert (a.cached_mse, a.cached_complexity, a.cached_fitness) == (
             b.cached_mse,
             b.cached_complexity,
@@ -76,7 +82,7 @@ class TestEvaluateCandidate:
         rng = np.random.default_rng(2)
         for _ in range(20):
             genome = rng.random(6) < 0.5
-            candidate = evaluate_candidate(genome, pool, square_dataset, params)
+            candidate = evaluate(genome, pool, square_dataset, params)
             assert candidate.cached_fitness == candidate_fitness(
                 candidate.cached_mse, candidate.cached_complexity, len(pool), params.fitness
             )
@@ -84,7 +90,7 @@ class TestEvaluateCandidate:
     def test_length_mismatch_rejected(self, square_dataset):
         pool = build_pool(square_dataset, 3)
         with pytest.raises(ValueError):
-            evaluate_candidate(np.zeros(4, dtype=bool), pool, square_dataset, CompositionParams())
+            evaluate(np.zeros(4, dtype=bool), pool, square_dataset, CompositionParams())
 
 
 class TestTournamentSelect:
@@ -205,8 +211,8 @@ class TestCompose:
         full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
         pool = Pool([fit_rule(full, data, 0.0)])
         params = CompositionParams(population_size=8, generations_per_phase=10, elitists=1)
-        on = evaluate_candidate(np.array([True]), pool, data, params)
-        off = evaluate_candidate(np.array([False]), pool, data, params)
+        on = evaluate(np.array([True]), pool, data, params)
+        off = evaluate(np.array([False]), pool, data, params)
         oracle = on if on.cached_fitness >= off.cached_fitness else off
         best, _ = compose(pool, data, params, np.random.default_rng(0))
         assert best.cached_fitness == oracle.cached_fitness

@@ -145,6 +145,14 @@ class TestConfigFromFlat:
         with pytest.raises(ConfigError, match="invalid float"):
             config_from_flat({"ridge_lambda": "inf"})
 
+    @pytest.mark.parametrize(
+        "value", [1e400, -1e400, float("nan"), 10**400], ids=["1e400", "-1e400", "nan", "long-int"]
+    )
+    def test_non_finite_number_rejected(self, value):
+        # Model files hand JSON numbers to the parser, not text.
+        with pytest.raises(ConfigError, match="invalid float value .* for key 'beta'"):
+            config_from_flat({"beta": value})
+
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError, match="invalid bool"):
             config_from_flat({"early_stop": "maybe"})
@@ -197,3 +205,8 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.conf"))
+
+    def test_negative_rng_seed_rejected(self, tmp_path):
+        path = write(tmp_path, "c.conf", "rng_seed = -5\n")
+        with pytest.raises(ConfigError, match="rng_seed"):
+            load_config(path)

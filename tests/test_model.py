@@ -13,12 +13,11 @@ from rulemix import (
     RuleFitter,
     SolutionCandidate,
     fit_rule,
-    mixed_predictions,
     solution_residuals,
 )
-from rulemix.model import RulePredictionTable
+from rulemix.model import RulePredictionTable, match_masks
 
-from conftest import box_ridge, linear_dataset, matches, predict_mixed, predict_one
+from conftest import box_ridge, linear_dataset, match_mask, matches, predict_mixed, predict_one
 
 
 def ridge_oracle(X, y, lam):
@@ -103,8 +102,81 @@ class TestMatches:
         rng = np.random.default_rng(0)
         X = rng.uniform(-2, 2, size=(50, 3))
         cond = IntervalCondition([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
-        mask = cond.match_mask(X)
+        mask = match_masks([cond], np.ascontiguousarray(X.T))[0]
         assert mask.tolist() == [matches(cond, row) for row in X]
+
+
+class TestMatchMasks:
+    """The shared (boxes x rows) mask routine against the one-box oracle."""
+
+    @staticmethod
+    def check(conditions, X):
+        X = np.asarray(X, dtype=float)
+        masks = match_masks(conditions, np.ascontiguousarray(X.T))
+        assert masks.shape == (len(conditions), X.shape[0])
+        assert masks.dtype == bool
+        for mask, condition in zip(masks, conditions):
+            np.testing.assert_array_equal(mask, match_mask(condition, X))
+        return masks
+
+    def test_bounds_equal_to_data_values_are_inclusive(self):
+        X = np.array([[0.0, 1.0], [0.5, 2.0], [1.0, 3.0], [1.5, 4.0]])
+        cond = IntervalCondition([0.5, 2.0], [1.0, 3.0])
+        masks = self.check([cond], X)
+        assert masks[0].tolist() == [False, True, True, False]
+
+    def test_zero_width_boxes(self):
+        X = np.array([[0.0, 1.0], [0.5, 2.0], [0.5, 2.5], [1.0, 3.0]])
+        conditions = [
+            IntervalCondition([0.5, 2.0], [0.5, 2.0]),  # a point on a row
+            IntervalCondition([0.5, 2.0], [0.5, 3.0]),  # zero width in one axis
+            IntervalCondition([0.25, 2.0], [0.25, 2.0]),  # a point on no row
+        ]
+        masks = self.check(conditions, X)
+        assert masks.sum(axis=1).tolist() == [1, 2, 0]
+
+    def test_one_row_matrix(self):
+        X = np.array([[0.3, -0.2, 0.9]])
+        conditions = [
+            IntervalCondition([0.0, -1.0, 0.0], [1.0, 0.0, 1.0]),
+            IntervalCondition([0.4, -1.0, 0.0], [1.0, 0.0, 1.0]),
+        ]
+        masks = self.check(conditions, X)
+        assert masks[:, 0].tolist() == [True, False]
+
+    def test_zero_boxes(self):
+        X = np.random.default_rng(1).uniform(-1, 1, size=(7, 3))
+        masks = self.check([], X)
+        assert masks.shape == (0, 7)
+
+    def test_many_boxes(self):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, size=(300, 4))
+        # Bounds drawn from the data too, so many rows sit exactly on a bound.
+        values = np.concatenate([X.ravel(), rng.uniform(-1.2, 1.2, 200)])
+        conditions = []
+        for _ in range(150):
+            low, high = np.sort(rng.choice(values, size=(2, 4)), axis=0)
+            conditions.append(IntervalCondition(low, high))
+        masks = self.check(conditions, X)
+        assert 0 < masks.sum() < masks.size
+
+    # Three 2-wide boxes hold as many bounds as two 3-wide ones, so only the
+    # width check stops them from being read as boxes over three columns.
+    def test_wrong_width_condition_rejected(self):
+        conditions = [IntervalCondition([0.0, 0.0], [1.0, 1.0])] * 3
+        with pytest.raises(ValueError, match="3 features"):
+            match_masks(conditions, np.zeros((3, 5)))
+
+    def test_table_of_wrong_width_rejected(self):
+        rules = [make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0)] * 3
+        with pytest.raises(ValueError, match="3 features"):
+            RulePredictionTable.build(rules, np.zeros((4, 3)))
+
+    def test_table_of_non_matrix_rejected(self):
+        rule = make_rule([0.0], [1.0], [1.0], 0.0)
+        with pytest.raises(ValueError):
+            RulePredictionTable.build([rule], np.zeros(4))
 
 
 class TestFitRule:
@@ -168,7 +240,7 @@ class TestFitRule:
         data = linear_dataset(n=50, noise=0.0)
         cond = IntervalCondition([-0.5], [0.5])
         rule = fit_rule(cond, data, 0.01)
-        assert rule.experience == int(cond.match_mask(data.features).sum())
+        assert rule.experience == int(match_mask(cond, data.features).sum())
 
 
 class TestRuleFitter:
@@ -485,4 +557,5 @@ class TestSolutionResiduals:
 
 def test_mixed_predictions_empty_rule_list_gives_default():
     X = np.zeros((4, 2))
-    np.testing.assert_array_equal(mixed_predictions([], X, 1.5), np.full(4, 1.5))
+    table = RulePredictionTable.build([], X)
+    np.testing.assert_array_equal(table.mixed(np.ones(0, dtype=bool), 1.5), np.full(4, 1.5))

@@ -126,6 +126,8 @@ class TestFormatErrors:
             ("best.fitness", False),
             ("rules.0.experience", 2**64),
             pytest.param("default_prediction", 10**400, id="default_prediction-long-int"),
+            ("config.rng_seed", -5),
+            pytest.param("config.ridge_lambda", 10**400, id="config.ridge_lambda-long-int"),
         ],
     )
     def test_bad_metadata_rejected(self, trained, tmp_path, key, value):
@@ -160,6 +162,19 @@ class TestFormatErrors:
         broken = tmp_path / "overflow.json"
         broken.write_text(json.dumps(document).replace('"TOKEN"', literal), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=message):
+            load_model(str(broken))
+
+    @pytest.mark.parametrize("key", ["ridge_lambda", "beta", "discovery.mutation_sigma"])
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_overflowing_config_value_rejected(self, trained, tmp_path, key, literal):
+        # ``key`` is a flat config key, dots and all; json parses the literal
+        # to an infinity, which a saved model could not write back.
+        _, _, path = trained
+        document = json.load(open(path, encoding="utf-8"))
+        document["config"][key] = "TOKEN"
+        broken = tmp_path / "config.json"
+        broken.write_text(json.dumps(document).replace('"TOKEN"', literal), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"bad config snapshot: .*{key}"):
             load_model(str(broken))
 
     def test_bad_config_snapshot(self, trained, tmp_path):

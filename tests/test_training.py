@@ -20,6 +20,7 @@ from rulemix import (
     save_model,
     solution_residuals,
 )
+from rulemix.model import RulePredictionTable
 
 from conftest import linear_dataset, predict_mixed
 
@@ -103,8 +104,9 @@ class TestFit:
     def test_stored_best_reproducible_by_reevaluation(self):
         data = linear_dataset(n=80, seed=6)
         model = fit(data, quick_config(seed=4))
+        table = RulePredictionTable.build(model.pool.rules, data.features)
         candidate = evaluate_candidate(
-            model.best.genome, model.pool, data, model.config.composition
+            model.best.genome, model.pool, data, model.config.composition, table
         )
         assert candidate.cached_mse == model.best.cached_mse
         assert candidate.cached_complexity == model.best.cached_complexity
@@ -229,3 +231,8 @@ def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(discovery=DiscoveryParams(ridge_lambda=-1.0))
     assert replace(TrainingConfig(), rng_seed=9).rng_seed == 9
+
+
+def test_negative_rng_seed_rejected():
+    with pytest.raises(ValueError, match="rng_seed"):
+        TrainingConfig(rng_seed=-5)
