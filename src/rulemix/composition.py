@@ -65,6 +65,12 @@ def evaluate_candidate(
     return SolutionCandidate(genome, mse, complexity, fitness)
 
 
+def _rank(candidate: SolutionCandidate) -> tuple[float, int]:
+    """The GA's one order: higher fitness first, then fewer rules. ``min`` and
+    the stable ``sorted`` keep the first seen of equals."""
+    return (-candidate.cached_fitness, candidate.cached_complexity)
+
+
 def tournament_select(
     population: Sequence[SolutionCandidate], k: int, rng: np.random.Generator
 ) -> SolutionCandidate:
@@ -75,15 +81,7 @@ def tournament_select(
     if k < 1:
         raise ValueError("k must be at least 1")
     draws = rng.integers(0, len(population), size=k)
-    best_key = None
-    best = None
-    for index in draws:
-        candidate = population[index]
-        key = (-candidate.cached_fitness, candidate.cached_complexity, int(index))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = candidate
-    return best
+    return population[min(draws, key=lambda index: (*_rank(population[index]), index))]
 
 
 def crossover_npoint(
@@ -110,13 +108,8 @@ def crossover_npoint(
     if rng.random() >= crossover_prob:
         return a.copy(), b.copy()
     cuts = np.sort(rng.choice(np.arange(1, length), size=n_points, replace=False))
-    from_a = np.zeros(length, dtype=bool)
-    take = True
-    start = 0
-    for cut in [*cuts.tolist(), length]:
-        from_a[start:cut] = take
-        take = not take
-        start = cut
+    # Segments alternate at each cut, starting with ``a``.
+    from_a = np.searchsorted(cuts, np.arange(length), side="right") % 2 == 0
     return np.where(from_a, a, b), np.where(from_a, b, a)
 
 
@@ -139,16 +132,6 @@ def pad_genome(genome: np.ndarray, size: int) -> np.ndarray:
     return padded
 
 
-def _better(a: SolutionCandidate, b: SolutionCandidate) -> SolutionCandidate:
-    """Prefer ``b`` only on strictly higher fitness, or equal fitness with
-    strictly lower complexity; first-seen wins otherwise."""
-    if b.cached_fitness > a.cached_fitness:
-        return b
-    if b.cached_fitness == a.cached_fitness and b.cached_complexity < a.cached_complexity:
-        return b
-    return a
-
-
 def compose(
     pool: Pool,
     data: Dataset,
@@ -160,51 +143,43 @@ def compose(
     ever evaluated plus the final population.
 
     A warm-start population is carried over by zero-padding each genome to
-    the current pool size; a cold start draws unbiased random genomes. Each
-    generation copies the top ``elitists`` unchanged and fills the rest by
-    tournament selection, crossover, and bit-flip mutation. Rules themselves
-    are never touched.
+    the current pool size; random genomes fill any remaining places. Each
+    generation is bred in full, then scored: the top ``elitists`` carry over
+    unchanged, and tournament selection, crossover and bit-flip mutation
+    breed the rest from the previous population. Every pick uses one order:
+    higher fitness, then fewer rules, then first seen. Rules themselves are
+    never touched.
     """
     n = len(pool)
     if n == 0:
         raise ValueError("cannot compose from an empty pool")
     table = RulePredictionTable.build(pool.rules, data.features)
     size = params.population_size
+    n_children = size - params.elitists
 
-    if warm_population is not None:
-        genomes = [pad_genome(candidate.genome, n) for candidate in warm_population][:size]
-    else:
-        genomes = []
-    while len(genomes) < size:
-        genomes.append(rng.random(n) < 0.5)
-
+    genomes = [pad_genome(candidate.genome, n) for candidate in warm_population or ()][:size]
+    genomes += [rng.random(n) < 0.5 for _ in range(size - len(genomes))]
     population = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
-    best = population[0]
-    for candidate in population[1:]:
-        best = _better(best, candidate)
+    best = min(population, key=_rank)
 
     # A 1-bit genome admits no cut position; crossover degrades to copying.
     cut_points = min(params.crossover_points, n - 1)
 
     for _ in range(params.generations_per_phase):
-        ranked = sorted(
-            population, key=lambda c: (-c.cached_fitness, c.cached_complexity)
-        )
-        next_population = ranked[: params.elitists]
-        while len(next_population) < size:
+        genomes = []
+        while len(genomes) < n_children:
             parent1 = tournament_select(population, params.tournament_k, rng)
             parent2 = tournament_select(population, params.tournament_k, rng)
             if cut_points >= 1:
-                children = crossover_npoint(
+                pair = crossover_npoint(
                     parent1.genome, parent2.genome, cut_points, params.crossover_prob, rng
                 )
             else:
-                children = (parent1.genome.copy(), parent2.genome.copy())
-            remaining = size - len(next_population)
-            for genome in children[:remaining]:
-                mutated = mutate_bits(genome, params.mutation_rate, rng)
-                child = evaluate_candidate(mutated, pool, data, params, table)
-                next_population.append(child)
-                best = _better(best, child)
-        population = next_population
+                pair = (parent1.genome, parent2.genome)
+            # With one place left, the second child is dropped unmutated.
+            for genome in pair[: n_children - len(genomes)]:
+                genomes.append(mutate_bits(genome, params.mutation_rate, rng))
+        children = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
+        best = min([best, *children], key=_rank)
+        population = sorted(population, key=_rank)[: params.elitists] + children
     return best, population

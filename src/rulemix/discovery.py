@@ -176,11 +176,7 @@ def discover_rule(
             params.lambda_,
         )
         children = fitter.fit([IntervalCondition(lo, up) for lo, up in zip(lowers, uppers)])
-        best_child: Rule | None = None
-        for child in children:
-            child = scored(child, iteration)
-            if best_child is None or child.fitness > best_child.fitness:
-                best_child = child
+        best_child = max((scored(child, iteration) for child in children), key=lambda rule: rule.fitness)
         elitists.append(best_child)
         if best_child.fitness > parent.fitness:
             parent = best_child

@@ -27,12 +27,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _print_metrics(metrics: dict[str, float], prefix: str = "") -> None:
+def _metric(key: str, value: float) -> str:
+    """``key=value`` with rule counts as ints and every other value as ``repr``."""
+    return f"{key}={int(value)}" if key in ("complexity", "pool_size") else f"{key}={value!r}"
+
+
+def _print_metrics(metrics: dict[str, float]) -> None:
     for key, value in metrics.items():
-        if key in ("complexity", "pool_size"):
-            print(f"{prefix}{key}={int(value)}")
-        else:
-            print(f"{prefix}{key}={value!r}")
+        print(_metric(key, value))
 
 
 def _cmd_fit(args) -> int:
@@ -118,10 +120,7 @@ def _cmd_cv(args) -> int:
         parts = [f"fold={i}", f"n_train={train.n_samples}", f"n_eval={test.n_samples}"]
         for key, value in metrics.items():
             collected.setdefault(key, []).append(value)
-            if key in ("complexity", "pool_size"):
-                parts.append(f"{key}={int(value)}")
-            else:
-                parts.append(f"{key}={value!r}")
+            parts.append(_metric(key, value))
         print(" ".join(parts))
     print(f"folds={k}")
     for key, values in collected.items():

@@ -63,8 +63,17 @@ def _parse_value(key: str, kind: str, raw: Union[str, int, float, bool]) -> Any:
         if kind == "float" and not math.isfinite(value):
             raise ValueError
     except (KeyError, ValueError, OverflowError):
-        raise ConfigError(f"invalid {kind} value {raw!r} for key {key!r}") from None
+        raise ConfigError(f"invalid {kind} value {_shown(raw)} for key {key!r}") from None
     return value
+
+
+def _shown(raw: Union[str, int, float, bool]) -> str:
+    """``repr`` of a rejected value; an int too long for ``repr`` (which
+    raises past Python's digit limit) is described by its size instead."""
+    try:
+        return repr(raw)
+    except ValueError:
+        return f"<int of {raw.bit_length()} bits>"
 
 
 def config_from_flat(flat: dict[str, Any]) -> TrainingConfig:

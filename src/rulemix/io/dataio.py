@@ -42,14 +42,18 @@ def _column_label(names: list[str] | None, index: int) -> str:
     return f"index {index}"
 
 
-def _parse_cell(cell: str, line: int, label: str) -> float:
+def _parse_cell(cell: str, line: int, names: list[str] | None, index: int) -> float:
+    """``cell`` as a finite float; the column label is formatted only to
+    report a rejected cell."""
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"non-numeric value {cell!r} at line {line}, column {label}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite value {cell!r} at line {line}, column {label}")
-    return value
+        problem = "non-numeric"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "non-finite"
+    raise DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
 
 
 def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
@@ -60,7 +64,7 @@ def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: in
         if len(row) != width:
             raise DataError(f"ragged row at line {line}: expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
-            parsed[i, j] = _parse_cell(cell, line, _column_label(names, j))
+            parsed[i, j] = _parse_cell(cell, line, names, j)
     return parsed
 
 

@@ -131,6 +131,15 @@ class TestTournamentSelect:
         winner = tournament_select(population, len(population) * 20, rng)
         assert winner.cached_complexity == 1
 
+    def test_full_ties_prefer_earlier_index(self):
+        # Equal fitness and complexity: the lowest drawn population index wins,
+        # whatever order the draws came in.
+        population = self._population([0.5] * 4, complexities=[2] * 4)
+        for seed in range(20):
+            draws = np.random.default_rng(seed).integers(0, 4, size=3)
+            winner = tournament_select(population, 3, np.random.default_rng(seed))
+            assert winner is population[draws.min()]
+
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             tournament_select([], 1, np.random.default_rng(0))
@@ -167,6 +176,23 @@ class TestCrossover:
         flips = np.flatnonzero(c1 != a)
         assert np.array_equal(flips, np.arange(flips[0], 8))
         assert np.array_equal(c1 ^ c2, np.ones(8, dtype=bool))
+
+    @pytest.mark.parametrize("n_points", [3, 4, 7])
+    def test_multi_cut_segments_match_loop_oracle(self, n_points):
+        # Oracle: replay the cut draws, then alternate segments starting with a.
+        a = np.ones(12, dtype=bool)
+        b = np.zeros(12, dtype=bool)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rng.random()  # the crossover_prob draw
+            cuts = np.sort(rng.choice(np.arange(1, 12), size=n_points, replace=False))
+            from_a = np.zeros(12, dtype=bool)
+            take, start = True, 0
+            for cut in [*cuts.tolist(), 12]:
+                from_a[start:cut] = take
+                take, start = not take, cut
+            c1, c2 = crossover_npoint(a, b, n_points, 1.0, np.random.default_rng(seed))
+            assert np.array_equal(c1, from_a) and np.array_equal(c2, ~from_a)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +291,106 @@ class TestCompose:
     def test_empty_pool_rejected(self, square_dataset):
         with pytest.raises(ValueError):
             compose(Pool(), square_dataset, CompositionParams(), np.random.default_rng(0))
+
+
+def interleaved_compose(pool, data, params, rng, warm_population=None):
+    """Reference GA loop that scores each child as soon as it is bred and
+    picks every winner by explicit comparison: higher fitness, then fewer
+    rules, then first seen (the earlier index in a tournament)."""
+    table = RulePredictionTable.build(pool.rules, data.features)
+    n, size = len(pool), params.population_size
+
+    def better(a, b):
+        if b.cached_fitness > a.cached_fitness:
+            return b
+        if b.cached_fitness == a.cached_fitness and b.cached_complexity < a.cached_complexity:
+            return b
+        return a
+
+    def tournament(population):
+        best_key = winner = None
+        for index in rng.integers(0, len(population), size=params.tournament_k):
+            key = (-population[index].cached_fitness, population[index].cached_complexity, int(index))
+            if best_key is None or key < best_key:
+                best_key, winner = key, population[index]
+        return winner
+
+    genomes = [] if warm_population is None else [pad_genome(c.genome, n) for c in warm_population][:size]
+    while len(genomes) < size:
+        genomes.append(rng.random(n) < 0.5)
+    population = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
+    best = population[0]
+    for candidate in population[1:]:
+        best = better(best, candidate)
+    cut_points = min(params.crossover_points, n - 1)
+    for _ in range(params.generations_per_phase):
+        ranked = sorted(population, key=lambda c: (-c.cached_fitness, c.cached_complexity))
+        next_population = ranked[: params.elitists]
+        while len(next_population) < size:
+            parent1 = tournament(population)
+            parent2 = tournament(population)
+            if cut_points >= 1:
+                pair = crossover_npoint(parent1.genome, parent2.genome, cut_points, params.crossover_prob, rng)
+            else:
+                pair = (parent1.genome, parent2.genome)
+            for genome in pair[: size - len(next_population)]:
+                child = evaluate_candidate(mutate_bits(genome, params.mutation_rate, rng), pool, data, params, table)
+                next_population.append(child)
+                best = better(best, child)
+        population = next_population
+    return best, population
+
+
+def summary(candidate):
+    return (candidate.genome.tobytes(), candidate.cached_mse, candidate.cached_complexity, candidate.cached_fitness)
+
+
+class TestComposeDrawOrder:
+    """``compose`` breeds a generation in full before scoring it; it must make
+    the same draws, keep the same population and find the same best as the
+    interleaved reference loop."""
+
+    @staticmethod
+    def tied_pool(data, count, seed):
+        # Every rule appears twice, so distinct genomes tie on fitness and
+        # complexity and each tie-break shows in the result.
+        rules = build_pool(data, count, seed=seed).rules
+        return Pool([*rules, *rules])
+
+    def check(self, pool, data, params, seed, warm_population=None):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        best, population = compose(pool, data, params, rng, warm_population)
+        expected_best, expected = interleaved_compose(pool, data, params, reference_rng, warm_population)
+        assert summary(best) == summary(expected_best)
+        assert [summary(c) for c in population] == [summary(c) for c in expected]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CompositionParams(population_size=12, generations_per_phase=12, elitists=2),
+            CompositionParams(population_size=12, generations_per_phase=12, elitists=0),
+            CompositionParams(population_size=12, generations_per_phase=12, elitists=3, crossover_points=3),
+            CompositionParams(population_size=12, generations_per_phase=12, elitists=2, crossover_prob=0.0),
+        ],
+        ids=["cold-start", "no-elitists", "odd-children", "no-crossover"],
+    )
+    def test_matches_interleaved_loop(self, square_dataset, params):
+        self.check(self.tied_pool(square_dataset, 4, seed=11), square_dataset, params, seed=6)
+
+    def test_warm_start_with_pool_growth(self, square_dataset):
+        pool = self.tied_pool(square_dataset, 3, seed=12)
+        params = CompositionParams(population_size=10, generations_per_phase=8, elitists=3)
+        _, warm = compose(pool, square_dataset, params, np.random.default_rng(1))
+        pool.extend(build_pool(square_dataset, 2, seed=13).rules)
+        self.check(pool, square_dataset, params, seed=6, warm_population=warm)
+
+    def test_single_rule_pool(self):
+        data = linear_dataset(n=60)
+        full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        pool = Pool([fit_rule(full, data, 0.01)])
+        params = CompositionParams(population_size=9, generations_per_phase=6, elitists=2)
+        self.check(pool, data, params, seed=7)
 
 
 def test_composition_params_validation():

@@ -58,6 +58,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'oops' at line 3.*'y'"):
             load_csv_with_names(path, "y")
 
+    @pytest.mark.parametrize(
+        "text, header, message",
+        [
+            ("x,y\n0,1\n1,oops\n", True, "non-numeric value 'oops' at line 3, column 'y'"),
+            ("x,y\n0,1\ninf,2\n", True, "non-finite value 'inf' at line 3, column 'x'"),
+            ("0,1\n1,\n", False, "non-numeric value '' at line 2, column index 1"),
+        ],
+    )
+    def test_rejected_cell_message(self, tmp_path, text, header, message):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(DataError) as excinfo:
+            load_csv_with_names(path, 1, header=header)
+        assert str(excinfo.value) == message
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n0,1\n1\n")
         with pytest.raises(DataError, match="ragged row at line 3"):
@@ -152,6 +166,11 @@ class TestConfigFromFlat:
         # Model files hand JSON numbers to the parser, not text.
         with pytest.raises(ConfigError, match="invalid float value .* for key 'beta'"):
             config_from_flat({"beta": value})
+
+    def test_int_too_long_to_print_rejected(self):
+        # ``repr`` of an int past Python's 4,300-digit limit itself raises.
+        with pytest.raises(ConfigError, match="invalid float value <int of 16610 bits> for key 'ridge_lambda'"):
+            config_from_flat({"ridge_lambda": 10**5000})
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError, match="invalid bool"):

@@ -140,6 +140,26 @@ class TestDiscoverRule:
         assert len(calls) == 1 + (peak + 2) * 3
         assert max(calls) == peak + 2
 
+    def test_tied_children_yield_the_first_scored(self):
+        # Every child of iteration 1 ties above the seed and later iterations
+        # score lower, so the window returns iteration 1's elitist: the first
+        # of the tied children.
+        data = linear_dataset(n=50, seed=0)
+        params = DiscoveryParams(lambda_=4, delta=1, max_iter=100)
+        scored = []
+
+        def rigged(rule, iteration):
+            scored.append((iteration, rule))
+            return {0: 0.5, 1: 0.9}.get(iteration, 0.1)
+
+        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(0), rigged)
+        assert [iteration for iteration, _ in scored] == [0, 1, 1, 1, 1, 2, 2, 2, 2]
+        first = scored[1][1]
+        assert rule.fitness == 0.9
+        assert np.array_equal(rule.condition.lower, first.condition.lower)
+        assert np.array_equal(rule.condition.upper, first.condition.upper)
+        assert not np.array_equal(scored[4][1].condition.lower, first.condition.lower)
+
     def test_max_iter_cap_returns_best_seen(self):
         data = linear_dataset(n=50, seed=0)
         params = DiscoveryParams(lambda_=2, delta=5, max_iter=7)
