@@ -81,16 +81,11 @@ def select_seed_example(data: Dataset, residuals: np.ndarray, rng: np.random.Gen
 def initial_condition(
     x: np.ndarray, data: Dataset, sigma_init: float, rng: np.random.Generator
 ) -> IntervalCondition:
-    """Box around example ``x``: each bound moves away from ``x`` by an
-    independent halfnormal draw scaled to the feature range, then clips to
-    the observed bounds. The result always matches ``x``."""
+    """The point box ``[x, x]`` grown once by ``_grown_bounds`` at scale
+    ``sigma_init``. The result always matches ``x``."""
     x = np.asarray(x, dtype=float)
-    bounds = data.feature_bounds
-    scale = sigma_init * (bounds[:, 1] - bounds[:, 0])
-    extents = np.abs(rng.normal(0.0, scale, size=(2, data.n_features)))
-    lower = np.maximum(x - extents[0], bounds[:, 0])
-    upper = np.minimum(x + extents[1], bounds[:, 1])
-    return IntervalCondition(lower, upper)
+    lowers, uppers = _grown_bounds(x, x, data, sigma_init, rng, 1)
+    return IntervalCondition(lowers[0], uppers[0])
 
 
 def _grown_bounds(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, config_from_flat, config_to_flat, load_config
 from .dataio import DataError, load_csv_with_names, load_feature_matrix
 from ..model import Dataset
 from .modelfile import ModelFormatError, load_model, save_model
@@ -27,6 +28,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write of ``path`` as a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _metric(key: str, value: float) -> str:
     """``key=value`` with rule counts as ints and every other value as ``repr``."""
     return f"{key}={int(value)}" if key in ("complexity", "pool_size") else f"{key}={value!r}"
@@ -40,13 +50,14 @@ def _print_metrics(metrics: dict[str, float]) -> None:
 def _cmd_fit(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+        config = config_from_flat({**config_to_flat(config), "rng_seed": args.seed})
     dataset, feature_names, target_name = load_csv_with_names(
         args.data, args.target, header=not args.no_header
     )
     model = fit(dataset, config)
     model = replace(model, target_column=target_name, feature_names=tuple(feature_names))
-    save_model(model, args.out)
+    with _writing(args.out):
+        save_model(model, args.out)
     print(f"phases={len(model.history)}")
     _print_metrics(model.score(dataset))
     print(f"model={args.out}")
@@ -61,7 +72,7 @@ def _cmd_predict(args) -> int:
             f"{args.data} has {X.shape[1]} feature columns but the model expects {model.n_features}"
         )
     predictions = model.predict(X)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["prediction"])
         for value in predictions:
@@ -103,6 +114,8 @@ def _cmd_cv(args) -> int:
     k = args.folds
     if k < 2:
         raise _UsageError("--folds must be at least 2")
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     if k > dataset.n_samples:
         raise DataError(f"cannot split {dataset.n_samples} rows into {k} folds")
 
@@ -212,7 +225,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except (DataError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ConfigError, ValueError) as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

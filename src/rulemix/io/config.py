@@ -3,12 +3,11 @@ mapping used for model-file config snapshots."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from operator import attrgetter
 from typing import Any, Union
 
-from ..composition import CompositionParams
-from ..discovery import DiscoveryParams
-from ..fitness import FitnessParams
 from ..training import TrainingConfig
 
 
@@ -16,31 +15,34 @@ class ConfigError(Exception):
     """Raised for unknown keys, bad values, or violated parameter constraints."""
 
 
-# key -> (type tag, extractor from a TrainingConfig)
-_SCHEMA: dict[str, tuple[str, Any]] = {
-    "rng_seed": ("int", lambda c: c.rng_seed),
-    "n_phases": ("int", lambda c: c.n_phases),
-    "ridge_lambda": ("float", lambda c: c.discovery.ridge_lambda),
-    "early_stop": ("bool", lambda c: c.early_stop),
-    "alpha_rule": ("float", lambda c: c.discovery.fitness.alpha),
-    "alpha_candidate": ("float", lambda c: c.composition.fitness.alpha),
-    "beta": ("float", lambda c: c.discovery.fitness.beta),
-    "discovery.lambda": ("int", lambda c: c.discovery.lambda_),
-    "discovery.delta": ("int", lambda c: c.discovery.delta),
-    "discovery.mutation_sigma": ("float", lambda c: c.discovery.mutation_sigma),
-    "discovery.sigma_init": ("float", lambda c: c.discovery.sigma_init),
-    "discovery.rules_per_phase": ("int", lambda c: c.discovery.rules_per_phase),
-    "discovery.max_iter": ("int", lambda c: c.discovery.max_iter),
-    "discovery.max_reseed": ("int", lambda c: c.discovery.max_reseed),
-    "composition.population_size": ("int", lambda c: c.composition.population_size),
-    "composition.tournament_k": ("int", lambda c: c.composition.tournament_k),
-    "composition.crossover_points": ("int", lambda c: c.composition.crossover_points),
-    "composition.crossover_prob": ("float", lambda c: c.composition.crossover_prob),
-    "composition.mutation_rate": ("float", lambda c: c.composition.mutation_rate),
-    "composition.elitists": ("int", lambda c: c.composition.elitists),
-    "composition.generations_per_phase": ("int", lambda c: c.composition.generations_per_phase),
+# flat key -> attribute path in a TrainingConfig, in model-file snapshot
+# order. A key's type and default are those of its attribute. ``beta`` is
+# stored once: discovery and composition share it.
+_PATHS: dict[str, str] = {
+    "rng_seed": "rng_seed",
+    "n_phases": "n_phases",
+    "ridge_lambda": "discovery.ridge_lambda",
+    "early_stop": "early_stop",
+    "alpha_rule": "discovery.fitness.alpha",
+    "alpha_candidate": "composition.fitness.alpha",
+    "beta": "discovery.fitness.beta",
+    "discovery.lambda": "discovery.lambda_",
+    "discovery.delta": "discovery.delta",
+    "discovery.mutation_sigma": "discovery.mutation_sigma",
+    "discovery.sigma_init": "discovery.sigma_init",
+    "discovery.rules_per_phase": "discovery.rules_per_phase",
+    "discovery.max_iter": "discovery.max_iter",
+    "discovery.max_reseed": "discovery.max_reseed",
+    "composition.population_size": "composition.population_size",
+    "composition.tournament_k": "composition.tournament_k",
+    "composition.crossover_points": "composition.crossover_points",
+    "composition.crossover_prob": "composition.crossover_prob",
+    "composition.mutation_rate": "composition.mutation_rate",
+    "composition.elitists": "composition.elitists",
+    "composition.generations_per_phase": "composition.generations_per_phase",
 }
 
+_DEFAULTS = TrainingConfig()
 
 _WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -76,55 +78,42 @@ def _shown(raw: Union[str, int, float, bool]) -> str:
         return f"<int of {raw.bit_length()} bits>"
 
 
+def _rebuilt(default: Any, values: dict[str, Any], prefix: str = "") -> Any:
+    """``default`` with ``values`` (attribute path -> value) applied. Each
+    nested parameter set is built, and so validated, before the one that
+    holds it."""
+    kwargs = {}
+    for field in dataclasses.fields(default):
+        path, value = prefix + field.name, getattr(default, field.name)
+        nested = dataclasses.is_dataclass(value)
+        kwargs[field.name] = _rebuilt(value, values, path + ".") if nested else values.get(path, value)
+    return type(default)(**kwargs)
+
+
 def config_from_flat(flat: dict[str, Any]) -> TrainingConfig:
     """Build a TrainingConfig from flat dotted-key values.
 
     Unspecified keys take the documented defaults; unknown keys are a hard
     error so typos cannot silently fall back to defaults.
     """
-    values = {key: extract(TrainingConfig()) for key, (_, extract) in _SCHEMA.items()}
+    values: dict[str, Any] = {}
     for key, raw in flat.items():
-        if key not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
+        if key not in _PATHS:
+            known = ", ".join(sorted(_PATHS))
             raise ConfigError(f"unknown config key {key!r}; known keys: {known}")
-        values[key] = _parse_value(key, _SCHEMA[key][0], raw)
-
+        path = _PATHS[key]
+        values[path] = _parse_value(key, type(attrgetter(path)(_DEFAULTS)).__name__, raw)
+    if _PATHS["beta"] in values:
+        values["composition.fitness.beta"] = values[_PATHS["beta"]]
     try:
-        discovery = DiscoveryParams(
-            lambda_=values["discovery.lambda"],
-            delta=values["discovery.delta"],
-            mutation_sigma=values["discovery.mutation_sigma"],
-            sigma_init=values["discovery.sigma_init"],
-            rules_per_phase=values["discovery.rules_per_phase"],
-            ridge_lambda=values["ridge_lambda"],
-            max_iter=values["discovery.max_iter"],
-            max_reseed=values["discovery.max_reseed"],
-            fitness=FitnessParams(alpha=values["alpha_rule"], beta=values["beta"]),
-        )
-        composition = CompositionParams(
-            population_size=values["composition.population_size"],
-            tournament_k=values["composition.tournament_k"],
-            crossover_points=values["composition.crossover_points"],
-            crossover_prob=values["composition.crossover_prob"],
-            mutation_rate=values["composition.mutation_rate"],
-            elitists=values["composition.elitists"],
-            generations_per_phase=values["composition.generations_per_phase"],
-            fitness=FitnessParams(alpha=values["alpha_candidate"], beta=values["beta"]),
-        )
-        return TrainingConfig(
-            discovery=discovery,
-            composition=composition,
-            n_phases=values["n_phases"],
-            rng_seed=values["rng_seed"],
-            early_stop=values["early_stop"],
-        )
+        return _rebuilt(_DEFAULTS, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_flat(config: TrainingConfig) -> dict[str, Any]:
     """Flatten a TrainingConfig to the dotted-key form."""
-    return {key: extract(config) for key, (_, extract) in _SCHEMA.items()}
+    return {key: attrgetter(path)(config) for key, path in _PATHS.items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -152,6 +141,6 @@ def load_config(path: str) -> TrainingConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_flat(parse_config_text(text, source=path))

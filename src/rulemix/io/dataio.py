@@ -21,7 +21,7 @@ def _read_table(path: str, header: bool) -> tuple[list[list[str]], list[str] | N
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     names: list[str] | None = None
     first_line = 1
@@ -42,18 +42,8 @@ def _column_label(names: list[str] | None, index: int) -> str:
     return f"index {index}"
 
 
-def _parse_cell(cell: str, line: int, names: list[str] | None, index: int) -> float:
-    """``cell`` as a finite float; the column label is formatted only to
-    report a rejected cell."""
-    try:
-        value = float(cell)
-    except ValueError:
-        problem = "non-numeric"
-    else:
-        if math.isfinite(value):
-            return value
-        problem = "non-finite"
-    raise DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
+def _rejected(problem: str, cell: str, line: int, names: list[str] | None, index: int) -> DataError:
+    return DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
 
 
 def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
@@ -64,7 +54,17 @@ def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: in
         if len(row) != width:
             raise DataError(f"ragged row at line {line}: expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
-            parsed[i, j] = _parse_cell(cell, line, names, j)
+            try:
+                parsed[i, j] = float(cell)
+            except ValueError:
+                raise _rejected("non-numeric", cell, line, names, j) from None
+    # Zero or of magnitude 1e-100 to 1e100: the squares and ratios a fit takes stay finite.
+    magnitude = np.abs(parsed)
+    outside = np.argwhere(~((1e-100 <= magnitude) & (magnitude <= 1e100) | (parsed == 0.0)))
+    if outside.size:
+        i, j = outside[0]
+        problem = "out-of-range" if math.isfinite(parsed[i, j]) else "non-finite"
+        raise _rejected(problem, rows[i][j], first_line + i, names, j)
     return parsed
 
 
@@ -76,13 +76,12 @@ def _resolve_target(target_column: Union[str, int], names: list[str] | None, wid
         if hits:
             return hits[0]
         # Fall through to index interpretation for numeric strings.
+    available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
     try:
         index = int(target_column)
     except (TypeError, ValueError):
-        available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
         raise DataError(f"target column {target_column!r} not found; available: {available}") from None
     if not 0 <= index < width:
-        available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
         raise DataError(f"target column index {index} out of range; available: {available}")
     return index
 

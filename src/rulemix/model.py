@@ -261,7 +261,10 @@ class RuleFitter:
         gram = scatter[:, :d, :d]
         diagonal = np.arange(d)
         gram[:, diagonal, diagonal] += self.ridge_lambda
-        coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
+        try:
+            coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
+        except np.linalg.LinAlgError:  # penalty lost next to large features: minimum-norm fit
+            coefficients = (np.linalg.pinv(gram) @ scatter[:, :d, d:])[:, :, 0]
         box_means = totals / count[:, :, 0] + reference[1:]
         intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d])
         return coefficients, intercepts

@@ -71,6 +71,13 @@ def parse_kv(output: str) -> dict:
     return values
 
 
+def single_error_line(capsys) -> str:
+    """The one ``error:`` line a failed command printed to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 class TestFit:
     def test_same_seed_byte_identical_models(self, workspace, capsys):
         first = run_fit(workspace, "a.json", seed=5)
@@ -298,6 +305,59 @@ class TestExitCodes:
         bad.write_text("{", encoding="utf-8")
         assert cli(["inspect", "--model", str(bad)]) == 2
         capsys.readouterr()
+
+    def _fit_bytes(self, tmp_path, data_bytes):
+        data = tmp_path / "d.csv"
+        data.write_bytes(data_bytes)
+        config = tmp_path / "c.conf"
+        config.write_text("", encoding="utf-8")
+        return cli(["fit", "--data", str(data), "--target", "y", "--config", str(config), "--out", str(tmp_path / "m.json")])
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        assert self._fit_bytes(tmp_path, b"x,y\n0,1\n\xff,2\n") == 2
+        assert "d.csv" in single_error_line(capsys)
+
+    def test_oversized_cell_is_data_error(self, tmp_path, capsys):
+        # Python's csv module refuses fields longer than 131,072 characters.
+        assert self._fit_bytes(tmp_path, b"x,y\n0,1\n" + b"1" * 131_073 + b",2\n") == 2
+        assert "d.csv" in single_error_line(capsys)
+
+    def test_unwritable_fit_out_is_data_error(self, workspace, capsys):
+        tmp_path, train, config = workspace
+        out = tmp_path / "missing" / "m.json"
+        code = cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)])
+        assert code == 2
+        assert single_error_line(capsys).startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_predict_out_is_data_error(self, workspace, tmp_path, capsys):
+        model = run_fit(workspace)
+        capsys.readouterr()
+        features = write_csv(tmp_path / "f.csv", np.full((2, 1), 0.5))
+        out = tmp_path / "missing" / "p.csv"
+        assert cli(["predict", "--model", str(model), "--data", features, "--out", str(out)]) == 2
+        assert single_error_line(capsys).startswith(f"error: cannot write {out}: ")
+
+    def test_non_utf8_config_is_config_error(self, workspace, tmp_path, capsys):
+        _, train, _ = workspace
+        config = tmp_path / "latin1.conf"
+        config.write_bytes(b"# caf\xe9\nn_phases = 2\n")
+        code = cli(["fit", "--data", train, "--target", "y", "--config", str(config), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert str(config) in single_error_line(capsys)
+
+    def test_negative_seed_is_config_error(self, workspace, capsys):
+        tmp_path, train, config = workspace
+        code = cli(
+            ["fit", "--data", train, "--target", "y", "--config", config, "--out", str(tmp_path / "m.json"), "--seed", "-5"]
+        )
+        assert code == 1
+        assert "rng_seed" in single_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_cv_seed_is_usage_error(self, workspace, capsys):
+        _, train, config = workspace
+        assert cli(["cv", "--data", train, "--target", "y", "--config", config, "--folds", "2", "--seed", "-1"]) == 1
+        assert "--seed" in single_error_line(capsys)
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0

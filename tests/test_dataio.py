@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix import (
     ConfigError,
@@ -125,6 +129,48 @@ class TestLoadFeatureMatrix:
         assert names == ["x0", "x1"]
 
 
+# Pieces of CSV-like input: numbers and separators, quoting, both line
+# endings, a BOM, bytes that are not UTF-8, NUL, non-finite words, and runs
+# long enough to pass Python's 131,072-character csv field limit.
+CSV_PIECES = st.sampled_from(
+    [b"0", b"1", b"-2.5", b"1e400", b",", b'"', b"\r\n", b"\n", b"\xef\xbb\xbf", b"\xff", b"\x00",
+     b"nan", b"inf", b"1e200", b"1e-200", b"x", b" ", b"7" * 40, b"," * 12, b"1" * 131_073]
+)
+
+
+class TestMalformedCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CSV_PIECES, max_size=24).map(b"".join), st.booleans())
+    def test_loads_finite_or_raises_data_error(self, tmp_path_factory, content, header):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(content)
+        try:
+            dataset, _, _ = load_csv_with_names(str(path), 0, header=header)
+        except DataError:
+            pass
+        else:
+            assert np.isfinite(dataset.features).all() and np.isfinite(dataset.targets).all()
+        try:
+            matrix, _ = load_feature_matrix(str(path), header=header)
+        except DataError:
+            pass
+        else:
+            assert matrix.ndim == 2 and np.isfinite(matrix).all()
+
+
+class TestValueRange:
+    @pytest.mark.parametrize("cell", ["1e101", "-1e200", "1e-101", "-4e-320"])
+    def test_magnitude_outside_range_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "d.csv", f"x,y\n0,1\n{cell},2\n")
+        with pytest.raises(DataError, match=f"out-of-range value '{cell}' at line 3, column 'x'"):
+            load_csv_with_names(path, "y")
+
+    def test_range_ends_and_zero_accepted(self, tmp_path):
+        path = write(tmp_path, "f.csv", "a,b\n1e100,-1e-100\n-0.0,0\n")
+        X, _ = load_feature_matrix(path)
+        np.testing.assert_array_equal(X, [[1e100, -1e-100], [0.0, 0.0]])
+
+
 class TestConfigText:
     def test_comments_blanks_and_values(self):
         flat = parse_config_text("# a comment\n\nn_phases = 4\ndiscovery.lambda = 8\n")
@@ -184,6 +230,38 @@ class TestConfigFromFlat:
         with pytest.raises(ConfigError, match="alpha"):
             config_from_flat({"alpha_rule": "0"})
 
+    def test_every_key_reaches_its_attribute(self):
+        values = {
+            "rng_seed": 3, "n_phases": 5, "ridge_lambda": 0.5, "early_stop": True, "alpha_rule": 0.3,
+            "alpha_candidate": 0.7, "beta": 1.5, "discovery.lambda": 9, "discovery.delta": 4,
+            "discovery.mutation_sigma": 0.07, "discovery.sigma_init": 0.2, "discovery.rules_per_phase": 3,
+            "discovery.max_iter": 99, "discovery.max_reseed": 2, "composition.population_size": 20,
+            "composition.tournament_k": 3, "composition.crossover_points": 3, "composition.crossover_prob": 0.8,
+            "composition.mutation_rate": 0.1, "composition.elitists": 2, "composition.generations_per_phase": 7,
+        }
+        config = config_from_flat({key: str(value) for key, value in values.items()})
+        assert config_to_flat(config) == values
+        assert config.discovery.lambda_ == 9
+        assert config.composition.fitness.alpha == 0.7
+        # One beta serves both fitnesses.
+        assert config.discovery.fitness.beta == config.composition.fitness.beta == 1.5
+
+    def test_inner_parameter_sets_are_checked_first(self):
+        # Each fitness before its stage, discovery before composition, the run last.
+        flat = {"n_phases": "0", "composition.elitists": "40", "alpha_candidate": "0", "discovery.delta": "0", "alpha_rule": "0"}
+        for key, message in [
+            ("alpha_rule", "alpha must be positive"),
+            ("discovery.delta", "delta must be at least 1"),
+            ("alpha_candidate", "alpha must be positive"),
+            ("composition.elitists", "elitists must lie in [0, population_size)"),
+            ("n_phases", "n_phases must be at least 1"),
+        ]:
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_flat(flat)
+            assert str(excinfo.value) == message
+            del flat[key]
+        config_from_flat(flat)
+
     def test_ridge_lambda_flows_into_discovery(self):
         config = config_from_flat({"ridge_lambda": "0.25"})
         assert config.discovery.ridge_lambda == 0.25
@@ -229,3 +307,21 @@ class TestLoadConfig:
         path = write(tmp_path, "c.conf", "rng_seed = -5\n")
         with pytest.raises(ConfigError, match="rng_seed"):
             load_config(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config .*latin1.conf"):
+            load_config(str(path))
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    documented = [(key.strip().strip("`"), default.strip()) for key, default in rows]
+    expected = [
+        (key, str(value).lower() if isinstance(value, bool) else repr(value))
+        for key, value in config_to_flat(TrainingConfig()).items()
+    ]
+    assert documented == expected

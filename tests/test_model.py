@@ -359,6 +359,18 @@ class TestRuleFitter:
         self.assert_close_to_oracle(data, conditions, rules)
         assert all(rule.submodel.coefficients[0] == 0.0 for rule in rules)
 
+    def test_box_with_fewer_rows_than_features_at_large_scale(self):
+        # Next to squares near 1e17 the penalty 0.01 rounds away, so a
+        # two-row box in two features has a singular system. It gets the
+        # minimum-norm fit, which passes through both rows.
+        X = np.array([[0.0, 0.0], [3e8, 1e8], [-2e8, 5e8], [1e8, -4e8]])
+        data = Dataset(X, [0.0, 1.0, 2.0, 3.0])
+        rule = fit_rule(IntervalCondition([0.0, 0.0], [3e8, 1e8]), data, 0.01)
+        expected = np.linalg.lstsq(X[:2] - X[:2].mean(axis=0), [-0.5, 0.5], rcond=None)[0]
+        np.testing.assert_allclose(rule.submodel.coefficients, expected, rtol=1e-12)
+        assert rule.experience == 2
+        assert rule.in_sample_error < 1e-20
+
     @staticmethod
     def assert_close_to_oracle(data, conditions, rules):
         for condition, rule in zip(conditions, rules):

@@ -162,6 +162,15 @@ class TestFit:
             assert np.isfinite(rule.in_sample_error)
 
 
+    def test_features_of_order_1e8(self):
+        # Seed boxes of one or two rows in features this large have singular
+        # ridge systems once the penalty rounds away.
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, (20, 2))
+        model = fit(Dataset(1e8 * X, np.abs(X[:, 0]) + X[:, 1]), quick_config())
+        assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+
+
 class TestPredict:
     def test_exact_cover_returns_training_targets(self):
         data = linear_dataset(n=50, noise=0.0, slope=2.0, intercept=1.0)
