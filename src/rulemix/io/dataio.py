@@ -8,11 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from ..model import Dataset
-
-
-class DataError(Exception):
-    """Raised for missing, malformed, or unusable input data."""
+from ..model import DataError, Dataset
 
 
 def _read_table(path: str, header: bool) -> tuple[list[list[str]], list[str] | None, int]:
@@ -42,8 +38,18 @@ def _column_label(names: list[str] | None, index: int) -> str:
     return f"index {index}"
 
 
-def _rejected(problem: str, cell: str, line: int, names: list[str] | None, index: int) -> DataError:
-    return DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
+def _parse_cell(cell: str, line: int, names: list[str] | None, index: int) -> float:
+    """``cell`` as a finite float; the column label is formatted only to
+    report a rejected cell."""
+    try:
+        value = float(cell)
+    except ValueError:
+        problem = "non-numeric"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "non-finite"
+    raise DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
 
 
 def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
@@ -54,17 +60,7 @@ def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: in
         if len(row) != width:
             raise DataError(f"ragged row at line {line}: expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
-            try:
-                parsed[i, j] = float(cell)
-            except ValueError:
-                raise _rejected("non-numeric", cell, line, names, j) from None
-    # Zero or of magnitude 1e-100 to 1e100: the squares and ratios a fit takes stay finite.
-    magnitude = np.abs(parsed)
-    outside = np.argwhere(~((1e-100 <= magnitude) & (magnitude <= 1e100) | (parsed == 0.0)))
-    if outside.size:
-        i, j = outside[0]
-        problem = "out-of-range" if math.isfinite(parsed[i, j]) else "non-finite"
-        raise _rejected(problem, rows[i][j], first_line + i, names, j)
+            parsed[i, j] = _parse_cell(cell, line, names, j)
     return parsed
 
 
@@ -76,12 +72,13 @@ def _resolve_target(target_column: Union[str, int], names: list[str] | None, wid
         if hits:
             return hits[0]
         # Fall through to index interpretation for numeric strings.
-    available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
     try:
         index = int(target_column)
     except (TypeError, ValueError):
+        available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
         raise DataError(f"target column {target_column!r} not found; available: {available}") from None
     if not 0 <= index < width:
+        available = ", ".join(repr(n) for n in names) if names else f"indices 0..{width - 1}"
         raise DataError(f"target column index {index} out of range; available: {available}")
     return index
 

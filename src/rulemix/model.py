@@ -18,6 +18,10 @@ import numpy as np
 MIXING_EPSILON = 1e-6
 
 
+class DataError(Exception):
+    """Raised for missing, malformed, or unusable input data."""
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable training data with per-feature observed bounds.
@@ -174,7 +178,8 @@ class RuleFitter:
     mean, so the intercept is unpenalized. The sums behind every box's
     normal equations come from one matrix product of the boxes' match masks
     with per-row products of ``w = [1, x, y]``, taken over the rows some box
-    matches; the boxes are then solved as one stack. Each box's
+    matches; the boxes are then solved as one stack, and a box whose system
+    is singular gets its minimum-norm solution. Each box's
     ``in_sample_error`` comes from real residuals of its submodel on its
     matched rows, never from those sums.
 
@@ -263,8 +268,9 @@ class RuleFitter:
         gram[:, diagonal, diagonal] += self.ridge_lambda
         try:
             coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
-        except np.linalg.LinAlgError:  # penalty lost next to large features: minimum-norm fit
-            coefficients = (np.linalg.pinv(gram) @ scatter[:, :d, d:])[:, :, 0]
+        except np.linalg.LinAlgError:  # the penalty rounded away next to large features
+            systems = zip(gram, scatter[:, :d, d])
+            coefficients = np.array([_solve_or_minimum_norm(*system) for system in systems])
         box_means = totals / count[:, :, 0] + reference[1:]
         intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d])
         return coefficients, intercepts
@@ -278,6 +284,8 @@ class RuleFitter:
             x_mean = Xm.mean(axis=0)
             y_mean = float(y[mask].mean())
             coefficients[k], *_ = np.linalg.lstsq(Xm - x_mean, y[mask] - y_mean, rcond=None)
+            if not np.all(np.isfinite(coefficients[k])):
+                raise DataError("a least-squares slope overflows; fit with ridge_lambda > 0")
             intercepts[k] = y_mean - float(coefficients[k] @ x_mean)
         return coefficients, intercepts
 
@@ -293,6 +301,14 @@ class RuleFitter:
             residuals *= masks[:, rows]
             total += np.einsum("kn,kn->k", residuals, residuals)
         return total
+
+
+def _solve_or_minimum_norm(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One box's solution; the minimum-norm one where its system is singular."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram) @ rhs
 
 
 def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:

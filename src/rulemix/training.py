@@ -11,7 +11,7 @@ import numpy as np
 from .composition import CompositionParams, compose
 from .discovery import DiscoveryParams, RuleDiscoveryError, discover_rules
 from .fitness import volume_share
-from .model import Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate, solution_residuals
+from .model import DataError, Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate, solution_residuals
 
 # Optional early stop: quit when the best fitness improves by less than the
 # tolerance for this many consecutive phases.
@@ -111,6 +111,23 @@ class Model:
         }
 
 
+def _check_fittable(data: Dataset, ridge_lambda: float) -> None:
+    """Raise :class:`DataError` for values whose sums a fit takes could
+    overflow. Sums of n values stay within the largest float L when every
+    magnitude is within L / n; squared n-row totals of deviations (of the
+    targets, and of the features in ridge fits) when it is within sqrt(L) / 2n.
+    """
+    n, largest = data.n_samples, float(np.finfo(float).max)
+    squared = np.sqrt(largest) / (2 * n)
+    for name, values, limit in [
+        ("features", data.feature_bounds, squared if ridge_lambda > 0 else largest / n),
+        ("targets", data.targets, squared),
+    ]:
+        reach = float(np.max(np.abs(values)))
+        if reach > limit:
+            raise DataError(f"training {name} reach {reach:.3g}; a fit on {n} rows needs at most {limit:.3g}")
+
+
 def fit(data: Dataset, config: TrainingConfig) -> Model:
     """Train a model by alternating discovery and composition phases.
 
@@ -118,8 +135,9 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     appends newly discovered rules to the pool, re-composes with a
     warm-started population, and refreshes the residuals from the new best
     candidate. With elitism and warm starts the per-phase best fitness is
-    non-decreasing.
+    non-decreasing. Raises :class:`DataError` for values a fit cannot sum.
     """
+    _check_fittable(data, config.discovery.ridge_lambda)
     rng = np.random.default_rng(config.rng_seed)
     pool = Pool()
     residuals = data.targets - data.target_mean

@@ -359,6 +359,26 @@ class TestExitCodes:
         assert cli(["cv", "--data", train, "--target", "y", "--config", config, "--folds", "2", "--seed", "-1"]) == 1
         assert "--seed" in single_error_line(capsys)
 
+    def test_extreme_values_predict_and_eval(self, workspace, tmp_path, capsys):
+        model = run_fit(workspace)
+        X = np.array([[1e-150], [1e120], [-4e-320]])
+        features = write_csv(tmp_path / "f.csv", X)
+        out = tmp_path / "p.csv"
+        assert cli(["predict", "--model", str(model), "--data", features, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").count("\n") == 4
+        labeled = write_csv(tmp_path / "l.csv", X, np.array([1e-120, 1.0, 2.0]))
+        assert cli(["eval", "--model", str(model), "--data", labeled]) == 0
+        capsys.readouterr()
+
+    def test_unfittable_training_data_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, config = workspace
+        data = linear_dataset(n=60, seed=20)
+        train = write_csv(tmp_path / "big.csv", data.features, 1e153 * data.targets)
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)]) == 2
+        assert single_error_line(capsys).startswith("error: training targets reach ")
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
         capsys.readouterr()

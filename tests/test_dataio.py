@@ -159,16 +159,19 @@ class TestMalformedCsv:
 
 
 class TestValueRange:
-    @pytest.mark.parametrize("cell", ["1e101", "-1e200", "1e-101", "-4e-320"])
-    def test_magnitude_outside_range_rejected(self, tmp_path, cell):
-        path = write(tmp_path, "d.csv", f"x,y\n0,1\n{cell},2\n")
-        with pytest.raises(DataError, match=f"out-of-range value '{cell}' at line 3, column 'x'"):
-            load_csv_with_names(path, "y")
-
-    def test_range_ends_and_zero_accepted(self, tmp_path):
-        path = write(tmp_path, "f.csv", "a,b\n1e100,-1e-100\n-0.0,0\n")
+    def test_any_finite_magnitude_loads(self, tmp_path):
+        # Only fits limit magnitudes; the loaders take every finite value.
+        path = write(tmp_path, "d.csv", "a,b,y\n1e-150,-4e-320,1e300\n1e120,-0.0,-1e-120\n")
+        data, _, _ = load_csv_with_names(path, "y")
+        np.testing.assert_array_equal(data.features, [[1e-150, -4e-320], [1e120, 0.0]])
+        np.testing.assert_array_equal(data.targets, [1e300, -1e-120])
         X, _ = load_feature_matrix(path)
-        np.testing.assert_array_equal(X, [[1e100, -1e-100], [0.0, 0.0]])
+        np.testing.assert_array_equal(X[:, 2], [1e300, -1e-120])
+
+    def test_first_bad_cell_in_row_order_is_reported(self, tmp_path):
+        path = write(tmp_path, "d.csv", "x,y\n0,1\nnan,2\nabc,3\n")
+        with pytest.raises(DataError, match="non-finite value 'nan' at line 3, column 'x'"):
+            load_csv_with_names(path, "y")
 
 
 class TestConfigText:

@@ -371,6 +371,25 @@ class TestRuleFitter:
         assert rule.experience == 2
         assert rule.in_sample_error < 1e-20
 
+    def test_singular_box_leaves_its_batch_siblings_unchanged(self):
+        # Both batches share the same rows (the two of the singular box), so
+        # the siblings' sums are the same; only the three-box batch has a
+        # singular system, and only that box gets the minimum-norm fit.
+        X = 1e8 * np.array([[0, 0], [3, 1], [1, 4], [2.5, 3], [0.5, 2], [6, -2], [8, 0.5], [5, -4]])
+        data = Dataset(X, [0.0, 1.0, 2.0, 3.0, -1.0, 0.5, 2.5, -2.0])
+        left = IntervalCondition([0.0, 0.0], [3e8, 5e8])
+        singular = IntervalCondition([0.0, 0.0], [3e8, 1e8])
+        right = IntervalCondition([0.0, -5e8], [9e8, 1e8])
+        fitter = RuleFitter(data, 0.01)
+        with_singular = fitter.fit([left, singular, right])
+        without = fitter.fit([left, right])
+        for alone, batched in zip(without, [with_singular[0], with_singular[2]]):
+            assert batched.experience == alone.experience == 5
+            np.testing.assert_array_equal(batched.submodel.coefficients, alone.submodel.coefficients)
+            assert batched.submodel.intercept == alone.submodel.intercept
+            assert batched.in_sample_error == alone.in_sample_error
+        assert with_singular[1].experience == 2 and with_singular[1].in_sample_error < 1e-20
+
     @staticmethod
     def assert_close_to_oracle(data, conditions, rules):
         for condition, rule in zip(conditions, rules):

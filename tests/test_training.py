@@ -5,6 +5,7 @@ from dataclasses import replace
 import rulemix.training
 from rulemix import (
     CompositionParams,
+    DataError,
     Dataset,
     DiscoveryParams,
     IntervalCondition,
@@ -161,7 +162,6 @@ class TestFit:
             assert np.isfinite(rule.submodel.intercept)
             assert np.isfinite(rule.in_sample_error)
 
-
     def test_features_of_order_1e8(self):
         # Seed boxes of one or two rows in features this large have singular
         # ridge systems once the penalty rounds away.
@@ -169,6 +169,56 @@ class TestFit:
         X = rng.uniform(-1.0, 1.0, (20, 2))
         model = fit(Dataset(1e8 * X, np.abs(X[:, 0]) + X[:, 1]), quick_config())
         assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+
+
+class TestFittable:
+    """Fits refuse data whose sums of squares would overflow, and take the
+    rest, however small."""
+
+    @staticmethod
+    def rows(n=40):
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 2))
+        return X, np.abs(X[:, 0]) + X[:, 1]
+
+    @pytest.mark.parametrize("scale", [1e153, 1e300])
+    def test_large_targets_rejected(self, scale):
+        X, y = self.rows()
+        for ridge_lambda in (0.01, 0.0):
+            config = quick_config(discovery=DiscoveryParams(ridge_lambda=ridge_lambda))
+            with pytest.raises(DataError, match="training targets reach .* a fit on 40 rows needs at most"):
+                fit(Dataset(X, scale * y), config)
+
+    def test_large_features_rejected_by_ridge_fits_only(self):
+        X, y = self.rows()
+        data = Dataset(1e153 * X, y)
+        with pytest.raises(DataError, match="training features reach"):
+            fit(data, quick_config())
+        model = fit(data, quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
+        assert model.score(data)["mse"] < np.var(y)
+
+    def test_least_squares_rejects_features_whose_sums_overflow(self):
+        X, y = self.rows()
+        with pytest.raises(DataError, match="training features reach"):
+            fit(Dataset(1e307 * X, y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
+
+    def test_limit_follows_row_count(self):
+        # sqrt(largest float) / 2n: about 3.4e152 for 20 rows, 3.4e151 for 200.
+        X, y = self.rows(200)
+        fit(Dataset(X[:20], 1e152 * y[:20]), quick_config())
+        with pytest.raises(DataError, match="a fit on 200 rows"):
+            fit(Dataset(X, 1e152 * y), quick_config())
+
+    @pytest.mark.parametrize("x_scale, y_scale", [(1e-150, 1.0), (1.0, 1e-120), (1e-310, 1.0), (1e150, 1e150)])
+    def test_small_and_large_values_fit_with_ridge(self, x_scale, y_scale):
+        X, y = self.rows()
+        model = fit(Dataset(x_scale * X, y_scale * y), quick_config())
+        assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+
+    def test_overflowing_least_squares_slope_rejected(self):
+        # Subnormal features: a slope of about 1 / 1e-310 is not a float.
+        X, y = self.rows()
+        with pytest.raises(DataError, match="least-squares slope overflows"):
+            fit(Dataset(1e-310 * X, y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
 
 
 class TestPredict:
