@@ -19,7 +19,6 @@ from .composition import (
 )
 from .discovery import (
     DiscoveryParams,
-    RuleDiscoveryError,
     discover_rule,
     discover_rules,
     initial_condition,
@@ -69,7 +68,6 @@ __all__ = [
     "PhaseMetrics",
     "Pool",
     "Rule",
-    "RuleDiscoveryError",
     "RuleFitter",
     "RulePredictionTable",
     "SolutionCandidate",

@@ -16,10 +16,6 @@ from .model import Dataset, IntervalCondition, Rule, RuleFitter, fit_rule
 FitnessFn = Callable[[Rule, int], float]
 
 
-class RuleDiscoveryError(RuntimeError):
-    """Raised when rule discovery cannot produce any usable rule."""
-
-
 @dataclass(frozen=True)
 class DiscoveryParams:
     """Evolution-strategy settings for discovering a single rule.
@@ -41,7 +37,6 @@ class DiscoveryParams:
     rules_per_phase: int = 4
     ridge_lambda: float = 0.01
     max_iter: int = 500
-    max_reseed: int = 10
     fitness: FitnessParams = field(default_factory=lambda: FitnessParams(alpha=0.2))
 
     def __post_init__(self):
@@ -59,8 +54,6 @@ class DiscoveryParams:
             raise ValueError("ridge_lambda must be non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.max_reseed < 0:
-            raise ValueError("max_reseed must be non-negative")
 
 
 def select_seed_example(data: Dataset, residuals: np.ndarray, rng: np.random.Generator) -> int:
@@ -138,16 +131,11 @@ def discover_rule(
     def scored(rule: Rule, iteration: int) -> Rule:
         return replace(rule, fitness=float(fitness_fn(rule, iteration)))
 
-    def seed() -> Rule:
-        index = select_seed_example(data, residuals, rng)
-        condition = initial_condition(data.features[index], data, params.sigma_init, rng)
-        return scored(fit_rule(condition, data, params.ridge_lambda), 0)
-
-    parent = seed()
-    reseeds = 0
-    while parent.is_degenerate and reseeds < params.max_reseed:
-        reseeds += 1
-        parent = seed()
+    # The seed box holds its own row, and children only grow their parent,
+    # so every rule this search fits matches at least one example.
+    index = select_seed_example(data, residuals, rng)
+    condition = initial_condition(data.features[index], data, params.sigma_init, rng)
+    parent = scored(fit_rule(condition, data, params.ridge_lambda), 0)
 
     # Fits all children of an iteration at once.
     fitter = RuleFitter(data, params.ridge_lambda)
@@ -190,7 +178,7 @@ def discover_rules(
     rng: np.random.Generator,
 ) -> list[Rule]:
     """Run ``rules_per_phase`` independent discoveries on their own rng
-    streams and return the non-degenerate results."""
+    streams and return all ``rules_per_phase`` rules; each matches its seed
+    example."""
     streams = rng.spawn(params.rules_per_phase)
-    rules = [discover_rule(data, residuals, params, stream) for stream in streams]
-    return [rule for rule in rules if not rule.is_degenerate]
+    return [discover_rule(data, residuals, params, stream) for stream in streams]

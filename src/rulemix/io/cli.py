@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -51,6 +52,10 @@ def _cmd_fit(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = config_from_flat({**config_to_flat(config), "rng_seed": args.seed})
+    # Learn that --out cannot be written before the fit, not after it: an
+    # unnamed temporary file must be creatable in its directory.
+    with _writing(args.out):
+        tempfile.TemporaryFile(dir=os.path.dirname(args.out) or ".").close()
     dataset, feature_names, target_name = load_csv_with_names(
         args.data, args.target, header=not args.no_header
     )
@@ -73,10 +78,8 @@ def _cmd_predict(args) -> int:
         )
     predictions = model.predict(X)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["prediction"])
-        for value in predictions:
-            writer.writerow([format(value, ".17g")])
+        handle.write("prediction\r\n")
+        handle.writelines(f"{value:.17g}\r\n" for value in predictions)
     print(f"predictions={args.out}")
     print(f"rows={len(predictions)}")
     return 0

@@ -32,7 +32,6 @@ _PATHS: dict[str, str] = {
     "discovery.sigma_init": "discovery.sigma_init",
     "discovery.rules_per_phase": "discovery.rules_per_phase",
     "discovery.max_iter": "discovery.max_iter",
-    "discovery.max_reseed": "discovery.max_reseed",
     "composition.population_size": "composition.population_size",
     "composition.tournament_k": "composition.tournament_k",
     "composition.crossover_points": "composition.crossover_points",

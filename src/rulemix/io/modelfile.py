@@ -1,6 +1,6 @@
 """Versioned model persistence.
 
-The on-disk format is a JSON document (format_version 1) holding the config
+The on-disk format is a JSON document (format_version 2) holding the config
 snapshot as flat dotted keys, the feature bounds, the default prediction,
 every pool rule, the best genome as a 0/1 string, and the per-phase metrics
 history. Floats are written as shortest exact decimal representations (at
@@ -20,7 +20,7 @@ from .config import ConfigError, config_from_flat, config_to_flat
 from ..model import IntervalCondition, LinearSubmodel, Pool, Rule, SolutionCandidate
 from ..training import Model, PhaseMetrics
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(Exception):

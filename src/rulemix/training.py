@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .composition import CompositionParams, compose
-from .discovery import DiscoveryParams, RuleDiscoveryError, discover_rules
+from .discovery import DiscoveryParams, discover_rules
 from .fitness import volume_share
 from .model import DataError, Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate, solution_residuals
 
@@ -132,8 +132,9 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     """Train a model by alternating discovery and composition phases.
 
     Residuals start from the all-default (target mean) prediction; each phase
-    appends newly discovered rules to the pool, re-composes with a
-    warm-started population, and refreshes the residuals from the new best
+    appends ``rules_per_phase`` newly discovered rules to the pool, so the
+    pool is never empty when composition runs. It then re-composes with a
+    warm-started population and refreshes the residuals from the new best
     candidate. With elitism and warm starts the per-phase best fitness is
     non-decreasing. Raises :class:`DataError` for values a fit cannot sum.
     """
@@ -143,15 +144,11 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     residuals = data.targets - data.target_mean
 
     population: Optional[Sequence[SolutionCandidate]] = None
-    best: Optional[SolutionCandidate] = None
     history: list[PhaseMetrics] = []
     stalled_phases = 0
 
     for phase in range(1, config.n_phases + 1):
-        rules = discover_rules(data, residuals, config.discovery, rng)
-        pool.extend(rules)
-        if len(pool) == 0:
-            continue
+        pool.extend(discover_rules(data, residuals, config.discovery, rng))
         best, population = compose(pool, data, config.composition, rng, population)
         residuals = solution_residuals(best, pool, data)
         history.append(
@@ -165,6 +162,4 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
             if stalled_phases >= EARLY_STOP_PHASES:
                 break
 
-    if best is None:
-        raise RuleDiscoveryError("rule discovery produced no usable rules in any phase")
     return Model(pool, best, data.target_mean, data.feature_bounds, config, tuple(history))

@@ -1,3 +1,6 @@
+import csv
+import importlib
+import io
 import json
 
 import numpy as np
@@ -13,6 +16,9 @@ from rulemix import (
     save_model,
 )
 from rulemix.io.cli import cli
+
+# The module itself: ``rulemix.io.cli`` names the function it exports.
+cli_module = importlib.import_module("rulemix.io.cli")
 
 from conftest import linear_dataset
 from test_training import quick_config
@@ -110,6 +116,27 @@ class TestPredictAndEval:
         assert lines[0] == "prediction"
         assert len(lines) == 11
         [float(v) for v in lines[1:]]
+
+    def test_predictions_file_bytes(self, workspace, tmp_path, capsys, monkeypatch):
+        # 17 significant digits, CRLF line ends, nothing quoted: the bytes
+        # csv.writer gives, for signed zeros, infinities and subnormals too.
+        model_path = run_fit(workspace)
+        values = np.array(
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, -1 / 3, 1.7976931348623157e308, 123456789.0]
+        )
+        monkeypatch.setattr(Model, "predict", lambda self, X: values)
+        features = write_csv(tmp_path / "features.csv", np.zeros((len(values), 1)))
+        out = tmp_path / "predictions.csv"
+        assert cli(["predict", "--model", str(model_path), "--data", features, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (
+            b"prediction\r\n0\r\n-0\r\ninf\r\n-inf\r\n4.9406564584124654e-324\r\n"
+            b"-2.5000000000000171e-310\r\n0.10000000000000001\r\n-0.33333333333333331\r\n"
+            b"1.7976931348623157e+308\r\n123456789\r\n"
+        )
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([["prediction"], *([format(v, ".17g")] for v in values)])
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_predict_dimension_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         model_path = run_fit(workspace)
@@ -322,7 +349,13 @@ class TestExitCodes:
         assert self._fit_bytes(tmp_path, b"x,y\n0,1\n" + b"1" * 131_073 + b",2\n") == 2
         assert "d.csv" in single_error_line(capsys)
 
-    def test_unwritable_fit_out_is_data_error(self, workspace, capsys):
+    def test_unwritable_fit_out_is_data_error(self, workspace, capsys, monkeypatch):
+        # Found before the data is loaded or fitted.
+        def refuse(*args, **kwargs):
+            pytest.fail("fit ran although --out cannot be written")
+
+        monkeypatch.setattr(cli_module, "fit", refuse)
+        monkeypatch.setattr(cli_module, "load_csv_with_names", refuse)
         tmp_path, train, config = workspace
         out = tmp_path / "missing" / "m.json"
         code = cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)])

@@ -174,6 +174,21 @@ class TestValueRange:
             load_csv_with_names(path, "y")
 
 
+# ``key = value`` lines: every known key, a few unknown ones, and values of
+# every kind a key takes, out of range, non-finite, too long or not numbers.
+CONFIG_LINES = st.builds(
+    "{} = {}".format,
+    st.sampled_from([*config_to_flat(TrainingConfig()), "", "bogus", "discovery.max_reseed"]),
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.booleans(),
+        st.sampled_from(["yes", "no", "nan", "-inf", "1e400", "9" * 5000, "0x10", "1_000", "=", "#"]),
+        st.text(max_size=8),
+    ),
+)
+
+
 class TestConfigText:
     def test_comments_blanks_and_values(self):
         flat = parse_config_text("# a comment\n\nn_phases = 4\ndiscovery.lambda = 8\n")
@@ -186,6 +201,16 @@ class TestConfigText:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("n_phases = 4\nn_phases = 5\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(CONFIG_LINES, st.text(max_size=12)), max_size=8).map("\n".join))
+    def test_any_text_builds_a_config_or_raises_config_error(self, text):
+        try:
+            config = config_from_flat(parse_config_text(text))
+        except ConfigError:
+            pass
+        else:
+            assert isinstance(config, TrainingConfig)
 
 
 class TestConfigFromFlat:
@@ -238,7 +263,7 @@ class TestConfigFromFlat:
             "rng_seed": 3, "n_phases": 5, "ridge_lambda": 0.5, "early_stop": True, "alpha_rule": 0.3,
             "alpha_candidate": 0.7, "beta": 1.5, "discovery.lambda": 9, "discovery.delta": 4,
             "discovery.mutation_sigma": 0.07, "discovery.sigma_init": 0.2, "discovery.rules_per_phase": 3,
-            "discovery.max_iter": 99, "discovery.max_reseed": 2, "composition.population_size": 20,
+            "discovery.max_iter": 99, "composition.population_size": 20,
             "composition.tournament_k": 3, "composition.crossover_points": 3, "composition.crossover_prob": 0.8,
             "composition.mutation_rate": 0.1, "composition.elitists": 2, "composition.generations_per_phase": 7,
         }

@@ -1,7 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import rulemix.discovery
 from rulemix import (
+    Dataset,
     DiscoveryParams,
     FitnessParams,
     IntervalCondition,
@@ -235,6 +242,40 @@ class TestDiscoverRule:
         assert seed == 1
         assert iterations == [params.lambda_] * len(iterations)
         assert 0 < len(iterations) < params.max_iter
+
+
+@st.composite
+def seeded_searches(draw):
+    """A dataset of 1-30 rows and 1-4 features, with repeated rows and
+    constant columns, residuals that may all be zero, and a seed."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    values = st.floats(-1e3, 1e3)
+    distinct = draw(arrays(float, (draw(st.integers(1, n)), d), elements=values))
+    X = distinct[draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))]
+    constant = draw(arrays(bool, d))
+    X[:, constant] = X[0, constant]
+    y = draw(arrays(float, n, elements=values))
+    residuals = np.zeros(n) if draw(st.booleans()) else draw(arrays(float, n, elements=values))
+    return Dataset(X, y), residuals, draw(st.integers(0, 2**32))
+
+
+class TestSeedBoxHoldsItsRow:
+    @settings(max_examples=150, deadline=None)
+    @given(seeded_searches(), st.floats(1e-6, 1.0))
+    def test_one_seed_and_the_rule_matches_it(self, search, sigma_init):
+        data, residuals, seed = search
+        params = DiscoveryParams(lambda_=4, delta=2, max_iter=20, sigma_init=sigma_init)
+        picks = []
+
+        def recording(*args):
+            picks.append(select_seed_example(*args))
+            return picks[-1]
+
+        with mock.patch.object(rulemix.discovery, "select_seed_example", recording):
+            rule = discover_rule(data, residuals, params, np.random.default_rng(seed))
+        assert len(picks) == 1
+        assert rule.experience >= 1
+        assert matches(rule.condition, data.features[picks[0]])
 
 
 class TestDiscoverRules:

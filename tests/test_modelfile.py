@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix import ModelFormatError, fit, load_model, save_model
 from rulemix.io.modelfile import FORMAT_VERSION
@@ -19,6 +22,46 @@ def trained(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "m.json"
     save_model(model, str(path))
     return data, model, str(path)
+
+
+def read_document(path):
+    """The saved model at ``path`` as parsed JSON."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def document_paths(value, prefix=()):
+    """Every path into a JSON value, the root included: keys of objects and
+    indices of lists, plus one new key per object."""
+    yield prefix
+    if isinstance(value, dict):
+        yield prefix + ("new key",)
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from document_paths(child, prefix + (key,))
+
+
+def placed(document, path, value):
+    """``document`` with ``value`` at ``path``; the root path replaces it all."""
+    if not path:
+        return value
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return document
+
+
+# Any JSON value, non-finite floats and integers past 64 bits included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestRoundTrip:
@@ -48,22 +91,25 @@ class TestRoundTrip:
         loaded = load_model(path)
         second = tmp_path / "again.json"
         save_model(loaded, str(second))
-        assert second.read_bytes() == open(path, "rb").read()
+        assert second.read_bytes() == Path(path).read_bytes()
 
 
 class TestFormatErrors:
     def test_truncated_file(self, trained, tmp_path):
         _, _, path = trained
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         broken = tmp_path / "truncated.json"
         broken.write_text(text[: len(text) // 2], encoding="utf-8")
         with pytest.raises(ModelFormatError, match="truncated|corrupt"):
             load_model(str(broken))
 
-    def test_version_mismatch(self, trained, tmp_path):
+    @pytest.mark.parametrize(
+        "version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1], ids=["older", "newer"]
+    )
+    def test_version_mismatch(self, trained, tmp_path, version):
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
-        document["format_version"] = FORMAT_VERSION + 1
+        document = read_document(path)
+        document["format_version"] = version
         other = tmp_path / "future.json"
         other.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="version"):
@@ -71,7 +117,7 @@ class TestFormatErrors:
 
     def test_genome_length_mismatch(self, trained, tmp_path):
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         document["best"]["genome"] += "1"
         broken = tmp_path / "genome.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
@@ -80,7 +126,7 @@ class TestFormatErrors:
 
     def test_missing_key(self, trained, tmp_path):
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         del document["rules"]
         broken = tmp_path / "norules.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
@@ -100,7 +146,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, trained, tmp_path, token):
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         document["default_prediction"] = "TOKEN"
         broken = tmp_path / "nonfinite.json"
         broken.write_text(json.dumps(document).replace('"TOKEN"', token), encoding="utf-8")
@@ -133,7 +179,7 @@ class TestFormatErrors:
     def test_bad_metadata_rejected(self, trained, tmp_path, key, value):
         # ``key`` is a dotted path into the document; digits index lists.
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         *parents, field = [int(part) if part.isdigit() else part for part in key.split(".")]
         target = document
         for part in parents:
@@ -157,7 +203,7 @@ class TestFormatErrors:
         # json parses the first two to infinities without reaching
         # parse_constant, and refuses to parse the last one at all.
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         document["default_prediction"] = "TOKEN"
         broken = tmp_path / "overflow.json"
         broken.write_text(json.dumps(document).replace('"TOKEN"', literal), encoding="utf-8")
@@ -170,7 +216,7 @@ class TestFormatErrors:
         # ``key`` is a flat config key, dots and all; json parses the literal
         # to an infinity, which a saved model could not write back.
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         document["config"][key] = "TOKEN"
         broken = tmp_path / "config.json"
         broken.write_text(json.dumps(document).replace('"TOKEN"', literal), encoding="utf-8")
@@ -179,9 +225,41 @@ class TestFormatErrors:
 
     def test_bad_config_snapshot(self, trained, tmp_path):
         _, _, path = trained
-        document = json.load(open(path, encoding="utf-8"))
+        document = read_document(path)
         document["config"]["no_such_key"] = 1
         broken = tmp_path / "badconfig.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="config"):
             load_model(str(broken))
+
+
+class TestFuzzedModelFiles:
+    """A damaged model file loads or raises ModelFormatError, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), JSON_VALUES)
+    def test_any_value_at_any_path(self, trained, tmp_path_factory, data, value):
+        _, _, path = trained
+        document = read_document(path)
+        where = data.draw(st.sampled_from(list(document_paths(document))))
+        broken = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        broken.write_text(json.dumps(placed(document, where, value)), encoding="utf-8")
+        try:
+            load_model(str(broken))
+        except ModelFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_truncated_at_any_byte(self, trained, tmp_path_factory, data):
+        _, _, path = trained
+        raw = Path(path).read_bytes()
+        broken = tmp_path_factory.getbasetemp() / "cut.json"
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        broken.write_bytes(raw[:cut])
+        try:
+            load_model(str(broken))
+        except ModelFormatError:
+            pass
+        else:  # only the trailing newline was cut
+            assert raw[cut:].isspace()

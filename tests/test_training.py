@@ -13,7 +13,6 @@ from rulemix import (
     Model,
     Pool,
     Rule,
-    RuleDiscoveryError,
     SolutionCandidate,
     TrainingConfig,
     evaluate_candidate,
@@ -22,6 +21,7 @@ from rulemix import (
     solution_residuals,
 )
 from rulemix.model import RulePredictionTable
+from rulemix.training import EARLY_STOP_PHASES
 
 from conftest import linear_dataset, predict_mixed
 
@@ -126,16 +126,29 @@ class TestFit:
         assert float(np.mean(residuals**2)) == model.best.cached_mse
 
     def test_discovery_failure_raises(self, monkeypatch):
+        # Discovery always returns rules_per_phase rules; were it to return
+        # none, composition would refuse the empty pool.
         data = linear_dataset(n=40, seed=8)
         monkeypatch.setattr(rulemix.training, "discover_rules", lambda *args: [])
-        with pytest.raises(RuleDiscoveryError):
+        with pytest.raises(ValueError, match="empty pool"):
             fit(data, quick_config())
 
-    def test_early_stop_shortens_history(self):
+    def test_early_stop_shortens_history(self, monkeypatch):
+        # With the best fitness flat, every phase after the first stalls, so
+        # an early-stopped fit quits after 1 + EARLY_STOP_PHASES phases.
+        compose = rulemix.training.compose
+
+        def flat_compose(*args):
+            best, population = compose(*args)
+            return replace(best, cached_fitness=0.5), population
+
+        monkeypatch.setattr(rulemix.training, "compose", flat_compose)
         data = linear_dataset(n=80, seed=9, noise=0.0)
         full = fit(data, quick_config(seed=6, n_phases=8))
         stopped = fit(data, quick_config(seed=6, n_phases=8, early_stop=True))
-        assert len(stopped.history) <= len(full.history)
+        assert len(full.history) == 8
+        assert len(stopped.history) == 1 + EARLY_STOP_PHASES
+        assert stopped.history == full.history[: len(stopped.history)]
 
     def test_ridge_lambda_lives_in_discovery(self):
         config = TrainingConfig(discovery=DiscoveryParams(ridge_lambda=0.125))
