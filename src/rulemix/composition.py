@@ -149,6 +149,11 @@ def compose(
     breed the rest from the previous population. Every pick uses one order:
     higher fitness, then fewer rules, then first seen. Rules themselves are
     never touched.
+
+    Each distinct genome is scored once per call, so once per phase: a
+    repeat gets the candidate of its first evaluation, which is exact because
+    scoring draws nothing. The memo lives only for this call, since the pool
+    grows between phases.
     """
     n = len(pool)
     if n == 0:
@@ -156,10 +161,17 @@ def compose(
     table = RulePredictionTable.build(pool.rules, data.features)
     size = params.population_size
     n_children = size - params.elitists
+    scored: dict[bytes, SolutionCandidate] = {}
+
+    def score(genome: np.ndarray) -> SolutionCandidate:
+        key = genome.tobytes()
+        if key not in scored:
+            scored[key] = evaluate_candidate(genome, pool, data, params, table)
+        return scored[key]
 
     genomes = [pad_genome(candidate.genome, n) for candidate in warm_population or ()][:size]
     genomes += [rng.random(n) < 0.5 for _ in range(size - len(genomes))]
-    population = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
+    population = [score(genome) for genome in genomes]
     best = min(population, key=_rank)
 
     # A 1-bit genome admits no cut position; crossover degrades to copying.
@@ -179,7 +191,7 @@ def compose(
             # With one place left, the second child is dropped unmutated.
             for genome in pair[: n_children - len(genomes)]:
                 genomes.append(mutate_bits(genome, params.mutation_rate, rng))
-        children = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
+        children = [score(genome) for genome in genomes]
         best = min([best, *children], key=_rank)
         population = sorted(population, key=_rank)[: params.elitists] + children
     return best, population

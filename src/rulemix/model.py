@@ -378,13 +378,17 @@ def mixing_weight(rule: Rule) -> float:
 
 
 class RulePredictionTable:
-    """Per-rule match masks, predictions, and mixing weights over a fixed
-    input matrix; lets genome evaluations run as small matrix reductions."""
+    """Pre-weighted per-rule match masks and predictions over a fixed input
+    matrix; lets genome evaluations run as small matrix reductions.
 
-    def __init__(self, masks: np.ndarray, predictions: np.ndarray, weights: np.ndarray):
-        self.masks = masks
-        self.predictions = predictions
-        self.weights = weights
+    ``weighted_masks[k]`` is rule ``k``'s mixing weight on the rows it
+    matches and 0 elsewhere; ``weighted_predictions[k]`` is that times the
+    rule's prediction. Both are built once, so a mix only sums rows.
+    """
+
+    def __init__(self, weighted_masks: np.ndarray, weighted_predictions: np.ndarray):
+        self.weighted_masks = weighted_masks
+        self.weighted_predictions = weighted_predictions
 
     @classmethod
     def build(cls, rules: Sequence[Rule], X: np.ndarray) -> "RulePredictionTable":
@@ -396,18 +400,21 @@ class RulePredictionTable:
         for k, rule in enumerate(rules):
             predictions[k] = rule.submodel.predict_batch(X)
         weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
-        return cls(masks, predictions, weights)
+        weighted_masks = weights[:, None] * masks
+        predictions *= weighted_masks
+        return cls(weighted_masks, predictions)
 
     def mixed(self, selected: np.ndarray, default: float) -> np.ndarray:
         """Row-wise mixed prediction of the selected rules; ``default`` where
         none of them matches."""
         selected = np.asarray(selected, dtype=bool)
-        if selected.shape[0] != self.masks.shape[0]:
+        if selected.shape[0] != self.weighted_masks.shape[0]:
             raise ValueError("selection length does not match the table")
-        weighted_masks = self.weights[selected, None] * self.masks[selected]
-        denominator = weighted_masks.sum(axis=0)
-        numerator = (weighted_masks * self.predictions[selected]).sum(axis=0)
-        out = np.full(self.masks.shape[1], float(default))
+        # All rules selected (``Model.predict``): sum in place, no row copy.
+        rows = slice(None) if selected.all() else selected
+        denominator = self.weighted_masks[rows].sum(axis=0)
+        numerator = self.weighted_predictions[rows].sum(axis=0)
+        out = np.full(self.weighted_masks.shape[1], float(default))
         np.divide(numerator, denominator, out=out, where=denominator > 0.0)
         return out
 

@@ -76,6 +76,23 @@ def predict_mixed(candidate, pool, x, default):
     return numerator / denominator
 
 
+def mixed_table_oracle(rules, X, selected, default):
+    """Plain-numpy oracle for ``RulePredictionTable.mixed``: the weighted
+    masks and weighted predictions of the selected rules, formed per call
+    and summed over rules in pool order, so its bits are the reference."""
+    X = np.asarray(X, dtype=float)
+    selected = np.asarray(selected, dtype=bool)
+    masks = np.array([match_mask(rule.condition, X) for rule in rules]).reshape(len(rules), X.shape[0])
+    predictions = np.array([rule.submodel.predict_batch(X) for rule in rules]).reshape(len(rules), X.shape[0])
+    weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
+    weighted_masks = weights[selected, None] * masks[selected]
+    denominator = weighted_masks.sum(axis=0)
+    numerator = (weighted_masks * predictions[selected]).sum(axis=0)
+    out = np.full(X.shape[0], float(default))
+    np.divide(numerator, denominator, out=out, where=denominator > 0.0)
+    return out
+
+
 def box_ridge(data, lower, upper, ridge_lambda):
     """Plain-numpy oracle for one box: ridge on the matched rows centered on
     their own mean (least squares when ``ridge_lambda`` is 0), intercept

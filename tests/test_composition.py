@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rulemix.composition
 from rulemix import (
     CompositionParams,
     Dataset,
@@ -291,6 +292,50 @@ class TestCompose:
     def test_empty_pool_rejected(self, square_dataset):
         with pytest.raises(ValueError):
             compose(Pool(), square_dataset, CompositionParams(), np.random.default_rng(0))
+
+
+class TestComposeMemo:
+    """``compose`` scores each distinct genome once per call."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the genome bytes ``compose`` scores and the children it breeds."""
+        scored, children = [], []
+
+        def counting_evaluate(genome, *args):
+            scored.append(np.asarray(genome, dtype=bool).tobytes())
+            return evaluate_candidate(genome, *args)
+
+        def recording_mutate(genome, rate, rng):
+            child = mutate_bits(genome, rate, rng)
+            children.append(child.tobytes())
+            return child
+
+        monkeypatch.setattr(rulemix.composition, "evaluate_candidate", counting_evaluate)
+        monkeypatch.setattr(rulemix.composition, "mutate_bits", recording_mutate)
+        return scored, children
+
+    def test_one_evaluation_per_distinct_genome(self, square_dataset, monkeypatch):
+        # Three rules admit 8 genomes, far fewer than the 12 + 10 * 10 bred.
+        pool = build_pool(square_dataset, 3, seed=5)
+        params = CompositionParams(population_size=12, generations_per_phase=10, elitists=2)
+        scored, children = self.spy(monkeypatch)
+        _, warm = compose(pool, square_dataset, params, np.random.default_rng(3))
+        # The initial genomes are the first draws of the same stream.
+        replay = np.random.default_rng(3)
+        initial = [(replay.random(len(pool)) < 0.5).tobytes() for _ in range(params.population_size)]
+        assert len(initial) + len(children) > 2 ** len(pool)
+        assert len(scored) == len(set(scored))
+        assert set(scored) == set(initial) | set(children)
+
+        # A grown pool is a new table: the warm genomes are scored again.
+        pool.extend(build_pool(square_dataset, 2, seed=9).rules)
+        scored.clear()
+        children.clear()
+        compose(pool, square_dataset, params, np.random.default_rng(4), warm)
+        padded = {pad_genome(candidate.genome, len(pool)).tobytes() for candidate in warm}
+        assert len(scored) == len(set(scored))
+        assert set(scored) == padded | set(children)
 
 
 def interleaved_compose(pool, data, params, rng, warm_population=None):

@@ -286,12 +286,12 @@ class TestDiscoverRules:
         rules = discover_rules(data, residuals, params, np.random.default_rng(0))
         assert len(rules) == 1
 
-    def test_at_most_requested_count(self):
+    def test_returns_requested_count(self):
         data = linear_dataset(n=50, seed=1)
         residuals = data.targets - data.targets.mean()
         params = DiscoveryParams(rules_per_phase=3, max_iter=30)
         rules = discover_rules(data, residuals, params, np.random.default_rng(4))
-        assert len(rules) <= 3
+        assert len(rules) == 3
         assert all(not rule.is_degenerate for rule in rules)
 
     def test_order_independent_given_pre_split_streams(self):

@@ -17,7 +17,15 @@ from rulemix import (
 )
 from rulemix.model import RulePredictionTable, match_masks
 
-from conftest import box_ridge, linear_dataset, match_mask, matches, predict_mixed, predict_one
+from conftest import (
+    box_ridge,
+    linear_dataset,
+    match_mask,
+    matches,
+    mixed_table_oracle,
+    predict_mixed,
+    predict_one,
+)
 
 
 def ridge_oracle(X, y, lam):
@@ -512,6 +520,78 @@ class TestPredictMixed:
         batch = table.mixed(genome, 0.25)
         for j, row in enumerate(X):
             assert batch[j] == pytest.approx(predict_mixed(candidate, pool, row, 0.25), abs=1e-12)
+
+
+class TestRulePredictionTableBits:
+    """``mixed`` sums pre-weighted rows; each value and the summation order
+    must be the per-call oracle's, bit for bit."""
+
+    @staticmethod
+    def random_rules(rng, count, d):
+        rules = []
+        for _ in range(count):
+            # Wide boxes: most rows in [-1, 2] hold several rules at once.
+            lower = rng.uniform(-1.0, 0.5, d)
+            rules.append(
+                make_rule(
+                    lower,
+                    lower + rng.uniform(0.5, 2.0, d),
+                    rng.normal(size=d),
+                    rng.normal(),
+                    experience=int(rng.integers(1, 50)),
+                    error=float(rng.uniform(0.0, 0.5)),
+                )
+            )
+        return rules
+
+    @staticmethod
+    def check(rules, X, selected, default=0.25):
+        table = RulePredictionTable.build(rules, X)
+        expected = mixed_table_oracle(rules, X, selected, default)
+        assert table.mixed(selected, default).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_selections(self, seed):
+        rng = np.random.default_rng(seed)
+        rules = self.random_rules(rng, 12, 2)
+        # Rows beyond [-1, 2.5] lie outside every box.
+        X = rng.uniform(-1.5, 3.0, size=(80, 2))
+        for _ in range(5):
+            self.check(rules, X, rng.random(len(rules)) < 0.5)
+
+    def test_all_and_no_rules_selected(self):
+        rng = np.random.default_rng(7)
+        rules = self.random_rules(rng, 6, 3)
+        X = rng.uniform(-1.5, 3.0, size=(50, 3))
+        self.check(rules, X, np.ones(len(rules), dtype=bool))
+        self.check(rules, X, np.zeros(len(rules), dtype=bool))
+
+    def test_one_rule_table(self):
+        rng = np.random.default_rng(8)
+        (rule,) = self.random_rules(rng, 1, 2)
+        X = rng.uniform(-1.5, 3.0, size=(30, 2))
+        self.check([rule], X, np.array([True]))
+        self.check([rule], X, np.array([False]))
+
+    def test_rows_no_rule_matches(self):
+        rules = [make_rule([0.0], [1.0], [2.0], 1.0), make_rule([0.5], [1.0], [-1.0], 0.5, experience=3)]
+        X = np.array([[-2.0], [0.25], [0.75], [3.0]])
+        self.check(rules, X, np.array([True, True]), default=-7.5)
+        self.check(rules, X, np.array([False, True]), default=-7.5)
+
+    def test_negative_zero_weighted_predictions(self):
+        # A negative prediction on a row its rule does not match weighs in as
+        # -0.0; a -0.0 default fills rows no selected rule matches.
+        rules = [
+            make_rule([0.0], [1.0], [-1.0], -0.5),
+            make_rule([0.5], [2.0], [-2.0], -0.25, experience=4, error=0.1),
+            make_rule([0.0], [2.0], [1.0], 0.0, experience=2),
+        ]
+        X = np.array([[0.25], [0.75], [1.5], [3.0]])
+        weighted = RulePredictionTable.build(rules, X).weighted_predictions
+        assert (np.signbit(weighted) & (weighted == 0.0)).any()
+        for bits in ([1, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]):
+            self.check(rules, X, np.array(bits, dtype=bool), default=-0.0)
 
 
 class TestPool:
