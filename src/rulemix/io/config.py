@@ -138,7 +138,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 def load_config(path: str) -> TrainingConfig:
     """Load a config file, applying defaults for unspecified keys."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Union
 
@@ -15,7 +16,8 @@ def _read_table(path: str, header: bool) -> tuple[list[list[str]], list[str] | N
     """Data rows, header names (``None`` without a header) and the file line
     number of the first data row."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        # ``utf-8-sig`` drops the byte-order mark spreadsheet exports put first.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -52,8 +54,9 @@ def _parse_cell(cell: str, line: int, names: list[str] | None, index: int) -> fl
     raise DataError(f"{problem} value {cell!r} at line {line}, column {_column_label(names, index)}")
 
 
-def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
-    width = len(names) if names is not None else len(rows[0])
+def _parse_cells(rows: list[list[str]], names: list[str] | None, first_line: int, width: int) -> np.ndarray:
+    """Cell-by-cell parse that raises the first problem in row order, a ragged
+    row or a rejected cell, with its line and column."""
     parsed = np.empty((len(rows), width), dtype=float)
     for i, row in enumerate(rows):
         line = first_line + i
@@ -62,6 +65,28 @@ def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: in
         for j, cell in enumerate(row):
             parsed[i, j] = _parse_cell(cell, line, names, j)
     return parsed
+
+
+def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
+    """The table as a finite float matrix, converted in one numpy call.
+
+    numpy converts each ``str`` cell with ``float()`` itself, so the bulk call
+    accepts and rejects exactly what ``_parse_cell`` does, with the same bits.
+    The per-cell loop runs only when the bulk call refuses the table, to word
+    the error.
+    """
+    width = len(names) if names is not None else len(rows[0])
+    # Widths are checked first: given a count, ``fromiter`` stops once it has
+    # that many cells, so rows of 3 and 1 cells would fill a 2x2 matrix.
+    if all(len(row) == width for row in rows):
+        try:
+            parsed = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(parsed).all():
+                return parsed.reshape(len(rows), width)
+    return _parse_cells(rows, names, first_line, width)
 
 
 def _resolve_target(target_column: Union[str, int], names: list[str] | None, width: int) -> int:
@@ -89,7 +114,10 @@ def load_csv_with_names(
     """Parse a rectangular numeric CSV into a dataset.
 
     Returns the dataset, the feature column names (positional ``x{i}`` names
-    when the file has no header), and the resolved target column name.
+    when the file has no header), and the resolved target column name. The
+    table is converted in one numpy call; a ragged row or a non-numeric or
+    non-finite cell raises ``DataError`` naming the first one in row order,
+    and only then are the cells parsed one by one, to word that error.
     """
     rows, names, first_line = _read_table(path, header)
     width = len(names) if names is not None else len(rows[0])

@@ -16,12 +16,22 @@ from rulemix import (
     load_feature_matrix,
 )
 from rulemix.io.config import load_config, parse_config_text
+from rulemix.io.dataio import _parse_cells, _parse_matrix, _read_table
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def outcome(parse, *args):
+    """What a parse gives: the matrix's shape and bytes, or its ``DataError`` message."""
+    try:
+        matrix = parse(*args)
+    except DataError as exc:
+        return "error", str(exc)
+    return matrix.shape, matrix.tobytes()
 
 
 class TestLoadCsv:
@@ -80,6 +90,29 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "x,y\n0,1\n1\n")
         with pytest.raises(DataError, match="ragged row at line 3"):
             load_csv_with_names(path, "y")
+
+    def test_rows_whose_cells_add_up_to_the_table_are_still_ragged(self, tmp_path):
+        # 3 + 1 cells fill a 2x2 matrix, so row widths must be checked one by one.
+        path = write(tmp_path, "d.csv", "x,y\n1,2,3\n4\n")
+        with pytest.raises(DataError) as excinfo:
+            load_feature_matrix(path)
+        assert str(excinfo.value) == "ragged row at line 2: expected 2 cells, got 3"
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n0,0\n1,2\n2,3\n")
+        data, names, target = load_csv_with_names(str(path), "x")
+        assert (names, target) == (["y"], "x")
+        np.testing.assert_array_equal(data.targets, [0.0, 1.0, 2.0])
+
+    def test_byte_order_mark_before_headerless_data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,5\n")
+        data, _, _ = load_csv_with_names(str(path), 1, header=False)
+        np.testing.assert_array_equal(data.features, [[1.0], [3.0]])
+        X, _ = load_feature_matrix(str(path), header=False)
+        np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 5.0]])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -156,6 +189,57 @@ class TestMalformedCsv:
             pass
         else:
             assert matrix.ndim == 2 and np.isfinite(matrix).all()
+        # The loader gives what the per-cell loop gives on the same rows.
+        loaded = outcome(lambda: load_feature_matrix(str(path), header=header)[0])
+        try:
+            rows, names, first_line = _read_table(str(path), header)
+        except DataError as exc:
+            assert loaded == ("error", str(exc))
+        else:
+            width = len(names) if names is not None else len(rows[0])
+            assert loaded == outcome(_parse_cells, rows, names, first_line, width)
+
+
+# Cell texts for the bulk path: numerals, spellings ``float`` accepts that
+# look unlike one, non-finite and out-of-range literals, and any text.
+CELL_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "1_0", " 1.5 ", "\u0661\u0662", "nan", "inf", "1e400", "1e-400", "", "abc"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def cell_tables(draw):
+    """Rows of cell texts, some one cell short or long, and header names or ``None``."""
+    width = draw(st.integers(1, 4))
+    rows = [
+        draw(st.lists(CELL_TEXTS, min_size=size, max_size=size))
+        for size in draw(st.lists(st.sampled_from([width] * 6 + [width - 1, width + 1]), min_size=1, max_size=6))
+    ]
+    names = [f"c{j}" for j in range(width)] if draw(st.booleans()) else None
+    return rows, names
+
+
+class TestBulkParse:
+    @settings(max_examples=400, deadline=None)
+    @given(cell_tables())
+    def test_bulk_parse_matches_per_cell_parse(self, table):
+        rows, names = table
+        width = len(names) if names is not None else len(rows[0])
+        assert outcome(_parse_matrix, rows, names, 2) == outcome(_parse_cells, rows, names, 2, width)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789_.eE+- \t\x0binfatyINFATY\u0661\uff11"), CELL_TEXTS))
+    def test_numpy_converts_a_str_exactly_as_float_does(self, text):
+        # The bulk path rests on this: numpy turns a str into a float with ``float()``.
+        try:
+            expected = float(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.fromiter([text], float, 1)
+        else:
+            assert np.fromiter([text], float, 1).tobytes() == np.float64(expected).tobytes()
 
 
 class TestValueRange:
@@ -172,6 +256,21 @@ class TestValueRange:
         path = write(tmp_path, "d.csv", "x,y\n0,1\nnan,2\nabc,3\n")
         with pytest.raises(DataError, match="non-finite value 'nan' at line 3, column 'x'"):
             load_csv_with_names(path, "y")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n0,1\nabc,2\n3\n", "non-numeric value 'abc' at line 3, column 'x'"),
+            ("x,y\n0\n1,abc\n", "ragged row at line 2: expected 2 cells, got 1"),
+            ("x,y\n0,1\n2,1e400\n4,5\n", "non-finite value '1e400' at line 3, column 'y'"),
+        ],
+        ids=["bad-cell-before-ragged-row", "ragged-row-before-bad-cell", "lone-overflow"],
+    )
+    def test_first_problem_in_row_order_is_reported(self, tmp_path, text, message):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(DataError) as excinfo:
+            load_feature_matrix(path)
+        assert str(excinfo.value) == message
 
 
 # ``key = value`` lines: every known key, a few unknown ones, and values of
@@ -335,6 +434,11 @@ class TestLoadConfig:
         path = write(tmp_path, "c.conf", "rng_seed = -5\n")
         with pytest.raises(ConfigError, match="rng_seed"):
             load_config(path)
+
+    def test_byte_order_mark_before_first_key(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"\xef\xbb\xbfn_phases = 2\n")
+        assert load_config(str(path)).n_phases == 2
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "latin1.conf"
