@@ -112,13 +112,13 @@ def fold_indices(n_samples: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def _cmd_cv(args) -> int:
-    config = load_config(args.config)
-    dataset, _, _ = load_csv_with_names(args.data, args.target, header=not args.no_header)
     k = args.folds
     if k < 2:
         raise _UsageError("--folds must be at least 2")
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
+    config = load_config(args.config)
+    dataset, _, _ = load_csv_with_names(args.data, args.target, header=not args.no_header)
     if k > dataset.n_samples:
         raise DataError(f"cannot split {dataset.n_samples} rows into {k} folds")
 
@@ -166,6 +166,8 @@ def _cmd_inspect(args) -> int:
             f"{coefficient:.6g}*{name}" for coefficient, name in zip(rule.submodel.coefficients, names)
         )
         print(f"  f(x) = {terms} + {rule.submodel.intercept:.6g}")
+    for metrics in model.history:
+        print(" ".join(_metric(key, value) for key, value in vars(metrics).items()))
     return 0
 
 

@@ -178,17 +178,17 @@ class RuleFitter:
     mean, so the intercept is unpenalized. The sums behind every box's
     normal equations come from one matrix product of the boxes' match masks
     with per-row products of ``w = [1, x, y]``, taken over the rows some box
-    matches; the boxes are then solved as one stack, and a box whose system
-    is singular gets its minimum-norm solution. Each box's
-    ``in_sample_error`` comes from real residuals of its submodel on its
-    matched rows, never from those sums.
+    matches; the boxes are then solved as one stack. With ``ridge_lambda >
+    0`` a box whose system is singular gets its minimum-norm solution; with
+    ``ridge_lambda = 0`` every box does (least squares), which handles
+    rank-deficient subsamples. Each box's ``in_sample_error`` comes from real
+    residuals of its submodel on its matched rows, never from those sums.
 
     ``w`` is centered on the mean of the rows every box matches. A box
     containing those rows has a mean no farther from it than its own spread
     allows, so removing the box mean from the sums loses no more than a
     factor of rows-per-shared-row in precision. Boxes with no row in common
-    are fitted one at a time. ``ridge_lambda = 0`` fits each box by centered
-    least squares instead, which handles rank-deficient subsamples.
+    are fitted one at a time.
     """
 
     def __init__(self, data: Dataset, ridge_lambda: float):
@@ -218,10 +218,7 @@ class RuleFitter:
         rows = np.flatnonzero(masks[fitted].any(axis=0))
         masks, matched = masks[np.ix_(fitted, rows)], counts[fitted]
         X, y = self._columns[:, rows], self.data.targets[rows]
-        if self.ridge_lambda > 0:
-            coefficients, intercepts = self._ridge(masks, X, y)
-        else:
-            coefficients, intercepts = self._least_squares(masks, X, y)
+        coefficients, intercepts = self._ridge(masks, X, y)
         errors = self._squared_errors(masks, X, y, coefficients, intercepts) / matched
         fits = zip(coefficients, intercepts, matched, errors)
         rules = []
@@ -263,30 +260,28 @@ class RuleFitter:
         count = sums[:, 0, 0, None, None]
         totals = sums[:, 0, 1:]
         scatter = sums[:, 1:, 1:] - totals[:, :, None] * totals[:, None, :] / count
-        gram = scatter[:, :d, :d]
-        diagonal = np.arange(d)
-        gram[:, diagonal, diagonal] += self.ridge_lambda
-        try:
-            coefficients = np.linalg.solve(gram, scatter[:, :d, d:])[:, :, 0]
-        except np.linalg.LinAlgError:  # the penalty rounded away next to large features
-            systems = zip(gram, scatter[:, :d, d])
-            coefficients = np.array([_solve_or_minimum_norm(*system) for system in systems])
+        gram, rhs = scatter[:, :d, :d], scatter[:, :d, d:]
+        if self.ridge_lambda == 0:
+            # Minimum-norm solutions outright: a nearly singular Gram need not
+            # make solve raise. pinv inverts singular values down to 1e-15 of
+            # the largest; scaling each system exactly, by a power of two, to
+            # a largest entry near 1 keeps those reciprocals finite next to
+            # tiny features. A slope beyond the float range is refused below.
+            exponents = -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                coefficients = (np.linalg.pinv(np.ldexp(gram, exponents)) @ np.ldexp(rhs, exponents))[:, :, 0]
+        else:
+            diagonal = np.arange(d)
+            gram[:, diagonal, diagonal] += self.ridge_lambda
+            try:
+                coefficients = np.linalg.solve(gram, rhs)[:, :, 0]
+            except np.linalg.LinAlgError:  # the penalty rounded away next to large features
+                systems = zip(gram, rhs[:, :, 0])
+                coefficients = np.array([_solve_or_minimum_norm(*system) for system in systems])
+        if not np.all(np.isfinite(coefficients)):
+            raise DataError("a fitted slope exceeds the float range; scale the features or the targets")
         box_means = totals / count[:, :, 0] + reference[1:]
         intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d])
-        return coefficients, intercepts
-
-    @staticmethod
-    def _least_squares(masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coefficients = np.empty((masks.shape[0], X.shape[0]))
-        intercepts = np.empty(masks.shape[0])
-        for k, mask in enumerate(masks):
-            Xm = X[:, mask].T
-            x_mean = Xm.mean(axis=0)
-            y_mean = float(y[mask].mean())
-            coefficients[k], *_ = np.linalg.lstsq(Xm - x_mean, y[mask] - y_mean, rcond=None)
-            if not np.all(np.isfinite(coefficients[k])):
-                raise DataError("a least-squares slope overflows; fit with ridge_lambda > 0")
-            intercepts[k] = y_mean - float(coefficients[k] @ x_mean)
         return coefficients, intercepts
 
     def _squared_errors(

@@ -111,18 +111,15 @@ class Model:
         }
 
 
-def _check_fittable(data: Dataset, ridge_lambda: float) -> None:
+def _check_fittable(data: Dataset) -> None:
     """Raise :class:`DataError` for values whose sums a fit takes could
-    overflow. Sums of n values stay within the largest float L when every
-    magnitude is within L / n; squared n-row totals of deviations (of the
-    targets, and of the features in ridge fits) when it is within sqrt(L) / 2n.
+    overflow. Squared n-row totals of deviations of the features and of the
+    targets stay within the largest float L when every magnitude is within
+    sqrt(L) / 2n.
     """
-    n, largest = data.n_samples, float(np.finfo(float).max)
-    squared = np.sqrt(largest) / (2 * n)
-    for name, values, limit in [
-        ("features", data.feature_bounds, squared if ridge_lambda > 0 else largest / n),
-        ("targets", data.targets, squared),
-    ]:
+    n = data.n_samples
+    limit = np.sqrt(np.finfo(float).max) / (2 * n)
+    for name, values in [("features", data.feature_bounds), ("targets", data.targets)]:
         reach = float(np.max(np.abs(values)))
         if reach > limit:
             raise DataError(f"training {name} reach {reach:.3g}; a fit on {n} rows needs at most {limit:.3g}")
@@ -136,9 +133,10 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     pool is never empty when composition runs. It then re-composes with a
     warm-started population and refreshes the residuals from the new best
     candidate. With elitism and warm starts the per-phase best fitness is
-    non-decreasing. Raises :class:`DataError` for values a fit cannot sum.
+    non-decreasing. Raises :class:`DataError` for values a fit cannot sum,
+    and for a least-squares slope beyond the float range.
     """
-    _check_fittable(data, config.discovery.ridge_lambda)
+    _check_fittable(data)
     rng = np.random.default_rng(config.rng_seed)
     pool = Pool()
     residuals = data.targets - data.target_mean

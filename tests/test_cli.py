@@ -13,6 +13,7 @@ from rulemix import (
     Pool,
     Rule,
     SolutionCandidate,
+    load_model,
     save_model,
 )
 from rulemix.io.cli import cli
@@ -226,6 +227,20 @@ class TestInspect:
         assert "  a in [-1, 1]" in out
         assert "f(x) = 2*a + -0.5*b + 0*c + 1" in out
 
+    def test_history_printed_after_the_rules(self, workspace, capsys):
+        path = run_fit(workspace)
+        capsys.readouterr()
+        history = load_model(str(path)).history
+        assert cli(["inspect", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("pool_size=") and lines[1].startswith("default_prediction=")
+        assert lines[-len(history):] == [
+            f"phase={m.phase} pool_size={m.pool_size} mse={m.mse!r} complexity={m.complexity} "
+            f"best_fitness={m.best_fitness!r}"
+            for m in history
+        ]
+        assert not any(line.startswith("phase=") for line in lines[: -len(history)])
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -391,6 +406,17 @@ class TestExitCodes:
         _, train, config = workspace
         assert cli(["cv", "--data", train, "--target", "y", "--config", config, "--folds", "2", "--seed", "-1"]) == 1
         assert "--seed" in single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "folds, seed, flag", [("1", "0", "--folds"), ("2", "-3", "--seed"), ("1", "-3", "--folds")]
+    )
+    def test_cv_flags_checked_before_any_file_is_read(self, tmp_path, capsys, folds, seed, flag):
+        config = tmp_path / "c.conf"
+        config.write_text("", encoding="utf-8")
+        for config_path in (str(config), str(tmp_path / "nope.conf")):
+            args = ["--data", str(tmp_path / "nope.csv"), "--target", "y", "--config", config_path]
+            assert cli(["cv", *args, "--folds", folds, "--seed", seed]) == 1
+            assert flag in single_error_line(capsys)
 
     def test_extreme_values_predict_and_eval(self, workspace, tmp_path, capsys):
         model = run_fit(workspace)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulemix.model
@@ -307,6 +307,39 @@ class TestRuleFitter:
         self.assert_matches_oracle(data, nested, fitter.fit(nested), ridge_lambda)
         assert fitter.fit([]) == []
         assert fitter.fit(conditions[-3:-2])[0].is_degenerate
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([0.0, 0.01, 10.0]),
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=d + 1, max_size=d + 1),
+                min_size=1,
+                max_size=12,
+            )
+        ),
+        st.booleans(),
+        st.sampled_from([None, 0.0, 2.5, -1e3]),
+        st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=6),
+    )
+    # Two rows in two features: a singular Gram that rounding leaves
+    # invertible, so a stacked solve would not fall back to the minimum norm.
+    @example(0.0, [[0.0, -1.0, 0.0], [1.5, 0.25, 0.25]], False, None, [])
+    def test_batch_matches_oracle_on_degenerate_data(self, ridge_lambda, table, twice, constant, pairs):
+        # Quarter-step values tie, repeat and line up often; with one row,
+        # every row twice or a zero-range column, designs are rank-deficient.
+        rows = np.array(table)
+        if twice:
+            rows = np.vstack([rows, rows])
+        X, y = rows[:, :-1], rows[:, -1]
+        if constant is not None:
+            X = np.column_stack([X, np.full(len(X), constant)])
+        data = Dataset(X, y)
+        pairs = [(i % len(X), j % len(X)) for i, j in pairs]
+        conditions = [IntervalCondition(np.minimum(X[i], X[j]), np.maximum(X[i], X[j])) for i, j in pairs]
+        conditions.append(IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1]))
+        rules = RuleFitter(data, ridge_lambda).fit(conditions)
+        self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
 
     @pytest.mark.parametrize("shape", ["random", "nested"])
     def test_row_chunks_match_one_pass(self, monkeypatch, shape):

@@ -201,18 +201,13 @@ class TestFittable:
             with pytest.raises(DataError, match="training targets reach .* a fit on 40 rows needs at most"):
                 fit(Dataset(X, scale * y), config)
 
-    def test_large_features_rejected_by_ridge_fits_only(self):
+    @pytest.mark.parametrize("scale", [1e153, 1e307])
+    def test_large_features_rejected(self, scale):
         X, y = self.rows()
-        data = Dataset(1e153 * X, y)
-        with pytest.raises(DataError, match="training features reach"):
-            fit(data, quick_config())
-        model = fit(data, quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
-        assert model.score(data)["mse"] < np.var(y)
-
-    def test_least_squares_rejects_features_whose_sums_overflow(self):
-        X, y = self.rows()
-        with pytest.raises(DataError, match="training features reach"):
-            fit(Dataset(1e307 * X, y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
+        for ridge_lambda in (0.01, 0.0):
+            config = quick_config(discovery=DiscoveryParams(ridge_lambda=ridge_lambda))
+            with pytest.raises(DataError, match="training features reach .* a fit on 40 rows needs at most"):
+                fit(Dataset(scale * X, y), config)
 
     def test_limit_follows_row_count(self):
         # sqrt(largest float) / 2n: about 3.4e152 for 20 rows, 3.4e151 for 200.
@@ -221,17 +216,27 @@ class TestFittable:
         with pytest.raises(DataError, match="a fit on 200 rows"):
             fit(Dataset(X, 1e152 * y), quick_config())
 
-    @pytest.mark.parametrize("x_scale, y_scale", [(1e-150, 1.0), (1.0, 1e-120), (1e-310, 1.0), (1e150, 1e150)])
-    def test_small_and_large_values_fit_with_ridge(self, x_scale, y_scale):
+    @pytest.mark.parametrize("ridge_lambda", [0.01, 0.0])
+    @pytest.mark.parametrize(
+        "x_scale, y_scale",
+        [(1e-150, 1.0), (1.0, 1e-120), (1e-155, 1.0), (1e-160, 1e100), (1e-310, 1.0), (1e150, 1e150)],
+    )
+    def test_small_and_large_values_fit(self, x_scale, y_scale, ridge_lambda):
+        # Features whose squares are subnormal still fit. Subnormal features,
+        # whose squares underflow to 0, fit flat by least squares.
         X, y = self.rows()
-        model = fit(Dataset(x_scale * X, y_scale * y), quick_config())
+        config = quick_config(discovery=DiscoveryParams(ridge_lambda=ridge_lambda))
+        model = fit(Dataset(x_scale * X, y_scale * y), config)
         assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+        if x_scale < 1e-300 and ridge_lambda == 0:
+            assert all(not np.any(rule.submodel.coefficients) for rule in model.pool)
 
-    def test_overflowing_least_squares_slope_rejected(self):
-        # Subnormal features: a slope of about 1 / 1e-310 is not a float.
+    def test_slope_beyond_float_range_rejected(self):
+        # Least squares on features of 1e-160 and targets of 1e150 needs a
+        # slope of about 1e310, which is not a float.
         X, y = self.rows()
-        with pytest.raises(DataError, match="least-squares slope overflows"):
-            fit(Dataset(1e-310 * X, y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
+        with pytest.raises(DataError, match="a fitted slope exceeds the float range"):
+            fit(Dataset(1e-160 * X, 1e150 * y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
 
 
 class TestPredict:
