@@ -15,6 +15,7 @@ from .composition import (
     evaluate_candidate,
     mutate_bits,
     pad_genome,
+    rank_positions,
     tournament_select,
 )
 from .discovery import (
@@ -92,6 +93,7 @@ __all__ = [
     "mutate_bits",
     "pad_genome",
     "pseudo_accuracy",
+    "rank_positions",
     "rule_fitness",
     "save_model",
     "select_seed_example",

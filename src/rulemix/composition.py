@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fitness import FitnessParams, candidate_fitness
-from .model import Dataset, Pool, RulePredictionTable, SolutionCandidate
+from .model import PRODUCT_FLOATS, Dataset, Pool, RulePredictionTable, SolutionCandidate
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,36 @@ class CompositionParams:
 
 
 def evaluate_candidate(
-    genome: np.ndarray,
+    genomes: np.ndarray,
     pool: Pool,
     data: Dataset,
     params: CompositionParams,
     table: RulePredictionTable,
-) -> SolutionCandidate:
-    """Score a genome: in-sample MSE of the mixed prediction over the full
-    training set, complexity, and the combined candidate fitness.
+) -> list[SolutionCandidate]:
+    """Score each row of the (genomes x rules) stack ``genomes``: in-sample
+    MSE of its mixed prediction over the full training set, complexity, and
+    the combined candidate fitness.
 
     ``table`` holds the per-rule masks and predictions of ``pool`` over
-    ``data.features``.
+    ``data.features``. The stack is mixed ``PRODUCT_FLOATS // n`` genomes
+    at a time (never fewer than two), so the scratch stays bounded, and a
+    genome's scores do not depend on the stack it comes in.
     """
-    genome = np.asarray(genome, dtype=bool)
-    if genome.shape != (len(pool),):
-        raise ValueError(f"genome length {genome.shape} does not match pool size {len(pool)}")
-    predictions = table.mixed(genome, data.target_mean)
-    mse = float(np.mean((data.targets - predictions) ** 2))
-    complexity = int(genome.sum())
-    fitness = candidate_fitness(mse, complexity, len(pool), params.fitness)
-    return SolutionCandidate(genome, mse, complexity, fitness)
+    genomes = np.asarray(genomes, dtype=bool)
+    if genomes.ndim != 2 or genomes.shape[1] != len(pool):
+        raise ValueError(f"genome stack {genomes.shape} does not match pool size {len(pool)}")
+    step = max(2, PRODUCT_FLOATS // data.n_samples)
+    mses = []
+    for start in range(0, genomes.shape[0], step):
+        errors = table.mixed(genomes[start : start + step], data.target_mean)
+        np.subtract(data.targets, errors, out=errors)
+        np.square(errors, out=errors)
+        mses.extend(np.mean(errors, axis=1).tolist())
+    candidates = []
+    for genome, mse, complexity in zip(genomes, mses, genomes.sum(axis=1).tolist()):
+        fitness = candidate_fitness(mse, complexity, len(pool), params.fitness)
+        candidates.append(SolutionCandidate(genome, mse, complexity, fitness))
+    return candidates
 
 
 def _rank(candidate: SolutionCandidate) -> tuple[float, int]:
@@ -71,17 +81,25 @@ def _rank(candidate: SolutionCandidate) -> tuple[float, int]:
     return (-candidate.cached_fitness, candidate.cached_complexity)
 
 
-def tournament_select(
-    population: Sequence[SolutionCandidate], k: int, rng: np.random.Generator
-) -> SolutionCandidate:
-    """Draw ``k`` members uniformly with replacement and return the fittest;
-    ties break toward lower complexity, then the earlier population index."""
-    if not population:
+def rank_positions(population: Sequence[SolutionCandidate]) -> np.ndarray:
+    """Each member's place in the GA's one order: higher fitness, then fewer
+    rules, then the earlier population index. Places are distinct, so
+    comparing them settles every tie."""
+    order = sorted(range(len(population)), key=lambda index: _rank(population[index]))
+    positions = np.empty(len(population), dtype=np.intp)
+    positions[order] = np.arange(len(population))
+    return positions
+
+
+def tournament_select(positions: np.ndarray, k: int, rng: np.random.Generator) -> int:
+    """Draw ``k`` members uniformly with replacement and return the index of
+    the one ranked first, given every member's :func:`rank_positions` place."""
+    if len(positions) == 0:
         raise ValueError("population must be non-empty")
     if k < 1:
         raise ValueError("k must be at least 1")
-    draws = rng.integers(0, len(population), size=k)
-    return population[min(draws, key=lambda index: (*_rank(population[index]), index))]
+    draws = rng.integers(0, len(positions), size=k)
+    return int(draws[positions[draws].argmin()])
 
 
 def crossover_npoint(
@@ -91,15 +109,14 @@ def crossover_npoint(
     crossover_prob: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n-point crossover producing two complementary children.
+    """n-point crossover of two boolean bit strings, producing two
+    complementary children.
 
     With probability ``1 - crossover_prob`` the parents are returned as
     copies. Otherwise ``n_points`` distinct cut positions are drawn uniformly
     and segments alternate between the parents, so at every position the
     children jointly hold exactly the two parent bits.
     """
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"parents must be equal-length bit strings, got {a.shape} and {b.shape}")
     length = a.shape[0]
@@ -107,19 +124,20 @@ def crossover_npoint(
         raise ValueError(f"n_points must lie in [1, {length - 1}], got {n_points}")
     if rng.random() >= crossover_prob:
         return a.copy(), b.copy()
-    cuts = np.sort(rng.choice(np.arange(1, length), size=n_points, replace=False))
+    # Cut positions 1 .. length - 1: the same draws as choosing from that range.
+    cuts = rng.choice(length - 1, size=n_points, replace=False) + 1
     # Segments alternate at each cut, starting with ``a``.
-    from_a = np.searchsorted(cuts, np.arange(length), side="right") % 2 == 0
-    return np.where(from_a, a, b), np.where(from_a, b, a)
+    at_cut = np.zeros(length, dtype=bool)
+    at_cut[cuts] = True
+    from_b = np.logical_xor.accumulate(at_cut)
+    return np.where(from_b, b, a), np.where(from_b, a, b)
 
 
 def mutate_bits(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability ``rate``."""
+    """Flip each bit of the boolean ``genome`` independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
-    genome = np.asarray(genome, dtype=bool)
-    flips = rng.random(genome.shape[0]) < rate
-    return genome ^ flips
+    return genome ^ (rng.random(genome.shape[0]) < rate)
 
 
 def pad_genome(genome: np.ndarray, size: int) -> np.ndarray:
@@ -147,13 +165,15 @@ def compose(
     generation is bred in full, then scored: the top ``elitists`` carry over
     unchanged, and tournament selection, crossover and bit-flip mutation
     breed the rest from the previous population. Every pick uses one order:
-    higher fitness, then fewer rules, then first seen. Rules themselves are
-    never touched.
+    higher fitness, then fewer rules, then first seen. The previous
+    population is sorted by it once per generation, and tournaments compare
+    the resulting places. Rules themselves are never touched.
 
     Each distinct genome is scored once per call, so once per phase: a
     repeat gets the candidate of its first evaluation, which is exact because
-    scoring draws nothing. The memo lives only for this call, since the pool
-    grows between phases.
+    scoring draws nothing. A generation's genomes not scored before go to
+    :func:`evaluate_candidate` as one stack. The memo lives only for this
+    call, since the pool grows between phases.
     """
     n = len(pool)
     if n == 0:
@@ -163,35 +183,37 @@ def compose(
     n_children = size - params.elitists
     scored: dict[bytes, SolutionCandidate] = {}
 
-    def score(genome: np.ndarray) -> SolutionCandidate:
-        key = genome.tobytes()
-        if key not in scored:
-            scored[key] = evaluate_candidate(genome, pool, data, params, table)
-        return scored[key]
+    def score(genomes: list[np.ndarray]) -> list[SolutionCandidate]:
+        keys = [genome.tobytes() for genome in genomes]
+        new = {key: genome for key, genome in zip(keys, genomes) if key not in scored}
+        if new:
+            candidates = evaluate_candidate(np.array(list(new.values())), pool, data, params, table)
+            scored.update(zip(new, candidates))
+        return [scored[key] for key in keys]
 
     genomes = [pad_genome(candidate.genome, n) for candidate in warm_population or ()][:size]
     genomes += [rng.random(n) < 0.5 for _ in range(size - len(genomes))]
-    population = [score(genome) for genome in genomes]
+    population = score(genomes)
     best = min(population, key=_rank)
 
     # A 1-bit genome admits no cut position; crossover degrades to copying.
     cut_points = min(params.crossover_points, n - 1)
 
     for _ in range(params.generations_per_phase):
+        positions = rank_positions(population)
         genomes = []
         while len(genomes) < n_children:
-            parent1 = tournament_select(population, params.tournament_k, rng)
-            parent2 = tournament_select(population, params.tournament_k, rng)
+            parent1 = population[tournament_select(positions, params.tournament_k, rng)].genome
+            parent2 = population[tournament_select(positions, params.tournament_k, rng)].genome
             if cut_points >= 1:
-                pair = crossover_npoint(
-                    parent1.genome, parent2.genome, cut_points, params.crossover_prob, rng
-                )
+                pair = crossover_npoint(parent1, parent2, cut_points, params.crossover_prob, rng)
             else:
-                pair = (parent1.genome, parent2.genome)
+                pair = (parent1, parent2)
             # With one place left, the second child is dropped unmutated.
             for genome in pair[: n_children - len(genomes)]:
                 genomes.append(mutate_bits(genome, params.mutation_rate, rng))
-        children = [score(genome) for genome in genomes]
+        children = score(genomes)
         best = min([best, *children], key=_rank)
-        population = sorted(population, key=_rank)[: params.elitists] + children
+        elitists = np.argsort(positions)[: params.elitists]
+        population = [population[index] for index in elitists] + children
     return best, population

@@ -374,11 +374,12 @@ def mixing_weight(rule: Rule) -> float:
 
 class RulePredictionTable:
     """Pre-weighted per-rule match masks and predictions over a fixed input
-    matrix; lets genome evaluations run as small matrix reductions.
+    matrix; mixes a whole stack of genomes in one matrix product.
 
     ``weighted_masks[k]`` is rule ``k``'s mixing weight on the rows it
     matches and 0 elsewhere; ``weighted_predictions[k]`` is that times the
-    rule's prediction. Both are built once, so a mix only sums rows.
+    rule's prediction. Both are built once, so a mix only sums rows, and
+    :meth:`mixed` sums them for every genome of a stack at once.
     """
 
     def __init__(self, weighted_masks: np.ndarray, weighted_predictions: np.ndarray):
@@ -399,18 +400,29 @@ class RulePredictionTable:
         predictions *= weighted_masks
         return cls(weighted_masks, predictions)
 
-    def mixed(self, selected: np.ndarray, default: float) -> np.ndarray:
-        """Row-wise mixed prediction of the selected rules; ``default`` where
-        none of them matches."""
-        selected = np.asarray(selected, dtype=bool)
-        if selected.shape[0] != self.weighted_masks.shape[0]:
-            raise ValueError("selection length does not match the table")
-        # All rules selected (``Model.predict``): sum in place, no row copy.
-        rows = slice(None) if selected.all() else selected
-        denominator = self.weighted_masks[rows].sum(axis=0)
-        numerator = self.weighted_predictions[rows].sum(axis=0)
-        out = np.full(self.weighted_masks.shape[1], float(default))
-        np.divide(numerator, denominator, out=out, where=denominator > 0.0)
+    def mixed(self, selections: np.ndarray, default: float) -> np.ndarray:
+        """(genomes x rows) mixed predictions of the (genomes x rules) 0/1
+        stack ``selections``; ``default`` where no selected rule matches.
+
+        Every genome's sums come from one matrix product with the stack, and
+        a product with a 0/1 factor is exact, so only the summation order
+        sets the bits. A lone genome is mixed beside a zero row: BLAS sends a
+        one-row product down another path whose sums differ in the last
+        bits, and a genome's mix must not depend on its batch.
+        """
+        selections = np.asarray(selections)
+        rules = self.weighted_masks.shape[0]
+        if selections.ndim != 2 or selections.shape[1] != rules:
+            raise ValueError(f"expected a stack of selections over {rules} rules, got shape {selections.shape}")
+        m = selections.shape[0]
+        stack = np.zeros((max(m, 2), rules))
+        stack[:m] = selections
+        denominator = (stack @ self.weighted_masks)[:m]
+        out = (stack @ self.weighted_predictions)[:m]
+        unmatched = ~(denominator > 0.0)
+        denominator[unmatched] = 1.0
+        out /= denominator
+        out[unmatched] = default
         return out
 
 
@@ -423,4 +435,4 @@ def solution_residuals(candidate: SolutionCandidate, pool: Pool, data: Dataset) 
     if candidate.genome.shape[0] != len(pool):
         raise ValueError(f"genome length {candidate.genome.shape[0]} does not match pool size {len(pool)}")
     table = RulePredictionTable.build(pool.rules, data.features)
-    return data.targets - table.mixed(candidate.genome, data.target_mean)
+    return data.targets - table.mixed(candidate.genome[None], data.target_mean)[0]

@@ -86,7 +86,7 @@ class Model:
             raise ValueError(f"expected matrix with {self.n_features} columns, got shape {X.shape}")
         rules = [rule for _, rule in self.selected_rules()]
         table = RulePredictionTable.build(rules, X)
-        return table.mixed(np.ones(len(rules), dtype=bool), self.default_prediction)
+        return table.mixed(np.ones((1, len(rules))), self.default_prediction)[0]
 
     def score(self, data: Dataset) -> dict[str, float]:
         """MSE, R^2, complexity, pool size, and mean selected-rule volume."""

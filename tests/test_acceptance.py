@@ -144,10 +144,8 @@ def test_criterion_05_ga_matches_brute_force():
         pool, data = _ten_rule_pool()
         params = rm.CompositionParams(population_size=64, generations_per_phase=200)
         table = RulePredictionTable.build(pool.rules, data.features)
-        optimum = max(
-            rm.evaluate_candidate(np.array(bits), pool, data, params, table).cached_fitness
-            for bits in itertools.product([False, True], repeat=10)
-        )
+        genomes = np.array(list(itertools.product([False, True], repeat=10)))
+        optimum = max(c.cached_fitness for c in rm.evaluate_candidate(genomes, pool, data, params, table))
         near, exact = 0, 0
         for seed in range(10):
             best, _ = rm.compose(pool, data, params, np.random.default_rng(seed))

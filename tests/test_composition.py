@@ -20,6 +20,7 @@ from rulemix import (
     initial_condition,
     mutate_bits,
     pad_genome,
+    rank_positions,
     tournament_select,
 )
 from rulemix.model import RulePredictionTable
@@ -40,8 +41,10 @@ def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> 
 
 
 def evaluate(genome, pool, data, params):
-    """``evaluate_candidate`` with a table built for this pool and dataset."""
-    return evaluate_candidate(genome, pool, data, params, RulePredictionTable.build(pool.rules, data.features))
+    """``evaluate_candidate`` of one genome, with a table built for this pool
+    and dataset."""
+    table = RulePredictionTable.build(pool.rules, data.features)
+    return evaluate_candidate(np.asarray(genome, dtype=bool)[None], pool, data, params, table)[0]
 
 
 def enumerate_best(pool, data, params):
@@ -93,6 +96,23 @@ class TestEvaluateCandidate:
         with pytest.raises(ValueError):
             evaluate(np.zeros(4, dtype=bool), pool, square_dataset, CompositionParams())
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_row_chunks_give_the_whole_stack_scores(self, square_dataset, monkeypatch, chunk_rows):
+        # Seven genomes in chunks of 3 end in a lone genome; a budget under
+        # two rows still takes two genomes at a time.
+        pool = build_pool(square_dataset, 6, seed=3)
+        params = CompositionParams()
+        table = RulePredictionTable.build(pool.rules, square_dataset.features)
+        genomes = np.random.default_rng(4).random((7, 6)) < 0.5
+        whole = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        monkeypatch.setattr(rulemix.composition, "PRODUCT_FLOATS", chunk_rows * square_dataset.n_samples)
+        batches, mixed = [], table.mixed
+        monkeypatch.setattr(table, "mixed", lambda stack, default: batches.append(len(stack)) or mixed(stack, default))
+        chunked = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        assert batches == ([3, 3, 1] if chunk_rows == 3 else [2, 2, 2, 1])
+        assert [summary(c) for c in chunked] == [summary(c) for c in whole]
+        assert [summary(c) for c in whole] == [summary(evaluate(g, pool, square_dataset, params)) for g in genomes]
+
 
 class TestTournamentSelect:
     def _population(self, fitnesses, complexities=None):
@@ -104,13 +124,15 @@ class TestTournamentSelect:
             population.append(SolutionCandidate(genome, 0.1, complexity, fitness))
         return population
 
+    @staticmethod
+    def select(population, k, rng):
+        return population[tournament_select(rank_positions(population), k, rng)]
+
     def test_k_one_is_uniform(self):
         population = self._population([0.9, 0.1])
         rng = np.random.default_rng(0)
         draws = 10_000
-        hits = sum(
-            tournament_select(population, 1, rng).cached_fitness == 0.9 for _ in range(draws)
-        )
+        hits = sum(self.select(population, 1, rng).cached_fitness == 0.9 for _ in range(draws))
         sigma = np.sqrt(0.25 / draws)
         assert abs(hits / draws - 0.5) <= 3 * sigma
 
@@ -120,30 +142,47 @@ class TestTournamentSelect:
         rng = np.random.default_rng(1)
         draws = 10_000
         expected = 3 / 4
-        hits = sum(
-            tournament_select(population, 2, rng).cached_fitness == 0.9 for _ in range(draws)
-        )
+        hits = sum(self.select(population, 2, rng).cached_fitness == 0.9 for _ in range(draws))
         sigma = np.sqrt(expected * (1 - expected) / draws)
         assert abs(hits / draws - expected) <= 3 * sigma
 
     def test_ties_prefer_lower_complexity(self):
         population = self._population([0.5, 0.5, 0.5], complexities=[3, 1, 2])
+        assert rank_positions(population).tolist() == [2, 0, 1]
         rng = np.random.default_rng(2)
-        winner = tournament_select(population, len(population) * 20, rng)
+        winner = self.select(population, len(population) * 20, rng)
         assert winner.cached_complexity == 1
 
     def test_full_ties_prefer_earlier_index(self):
         # Equal fitness and complexity: the lowest drawn population index wins,
         # whatever order the draws came in.
         population = self._population([0.5] * 4, complexities=[2] * 4)
+        assert rank_positions(population).tolist() == [0, 1, 2, 3]
         for seed in range(20):
             draws = np.random.default_rng(seed).integers(0, 4, size=3)
-            winner = tournament_select(population, 3, np.random.default_rng(seed))
+            winner = self.select(population, 3, np.random.default_rng(seed))
             assert winner is population[draws.min()]
+
+    def test_positions_follow_fitness_then_complexity_then_index(self):
+        population = self._population([0.2, 0.9, 0.5, 0.9, 0.5], complexities=[1, 3, 2, 2, 2])
+        # Order: index 3 (0.9, 2), 1 (0.9, 3), 2 (0.5, 2), 4 (0.5, 2), 0 (0.2, 1).
+        assert rank_positions(population).tolist() == [4, 1, 2, 0, 3]
+
+    def test_winner_is_the_drawn_member_placed_first(self):
+        # Oracle: the explicit (-fitness, complexity, index) minimum over the draws.
+        rng = np.random.default_rng(3)
+        population = self._population(rng.integers(0, 3, size=9) / 4, complexities=list(rng.integers(0, 4, size=9)))
+        positions = rank_positions(population)
+        for seed in range(50):
+            draws = np.random.default_rng(seed).integers(0, 9, size=4)
+            expected = min(
+                draws, key=lambda i: (-population[i].cached_fitness, population[i].cached_complexity, int(i))
+            )
+            assert tournament_select(positions, 4, np.random.default_rng(seed)) == expected
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], 1, np.random.default_rng(0))
+            tournament_select(np.empty(0, dtype=np.intp), 1, np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -302,9 +341,9 @@ class TestComposeMemo:
         """Record the genome bytes ``compose`` scores and the children it breeds."""
         scored, children = [], []
 
-        def counting_evaluate(genome, *args):
-            scored.append(np.asarray(genome, dtype=bool).tobytes())
-            return evaluate_candidate(genome, *args)
+        def counting_evaluate(genomes, *args):
+            scored.extend(genome.tobytes() for genome in np.asarray(genomes, dtype=bool))
+            return evaluate_candidate(genomes, *args)
 
         def recording_mutate(genome, rate, rng):
             child = mutate_bits(genome, rate, rng)
@@ -363,7 +402,7 @@ def interleaved_compose(pool, data, params, rng, warm_population=None):
     genomes = [] if warm_population is None else [pad_genome(c.genome, n) for c in warm_population][:size]
     while len(genomes) < size:
         genomes.append(rng.random(n) < 0.5)
-    population = [evaluate_candidate(genome, pool, data, params, table) for genome in genomes]
+    population = [evaluate_candidate(genome[None], pool, data, params, table)[0] for genome in genomes]
     best = population[0]
     for candidate in population[1:]:
         best = better(best, candidate)
@@ -379,7 +418,8 @@ def interleaved_compose(pool, data, params, rng, warm_population=None):
             else:
                 pair = (parent1.genome, parent2.genome)
             for genome in pair[: size - len(next_population)]:
-                child = evaluate_candidate(mutate_bits(genome, params.mutation_rate, rng), pool, data, params, table)
+                child = mutate_bits(genome, params.mutation_rate, rng)
+                child = evaluate_candidate(child[None], pool, data, params, table)[0]
                 next_population.append(child)
                 best = better(best, child)
         population = next_population
@@ -429,6 +469,17 @@ class TestComposeDrawOrder:
         _, warm = compose(pool, square_dataset, params, np.random.default_rng(1))
         pool.extend(build_pool(square_dataset, 2, seed=13).rules)
         self.check(pool, square_dataset, params, seed=6, warm_population=warm)
+
+    def test_one_child_per_generation(self, square_dataset):
+        # Every batch the GA scores is a lone genome, mixed beside a zero row.
+        params = CompositionParams(population_size=6, generations_per_phase=40, elitists=5)
+        self.check(self.tied_pool(square_dataset, 4, seed=14), square_dataset, params, seed=8)
+
+    def test_pool_beyond_one_blas_block(self, square_dataset):
+        # 400 rules: more than the 384 a BLAS kernel sums in one block, so a
+        # genome's bits hold only if they do not depend on its batch.
+        params = CompositionParams(population_size=16, generations_per_phase=6, elitists=2)
+        self.check(self.tied_pool(square_dataset, 200, seed=15), square_dataset, params, seed=9)
 
     def test_single_rule_pool(self):
         data = linear_dataset(n=60)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -480,7 +484,7 @@ class TestPredictMixed:
         candidate = self._candidate(bits)
         expected = predict_mixed(candidate, pool, x, default)
         table = RulePredictionTable.build(pool.rules, np.atleast_2d(x))
-        assert table.mixed(candidate.genome, default)[0] == pytest.approx(expected, abs=1e-12)
+        assert table.mixed(candidate.genome[None], default)[0, 0] == pytest.approx(expected, abs=1e-12)
         return expected
 
     def test_single_matching_rule_wins(self):
@@ -550,14 +554,34 @@ class TestPredictMixed:
         table = RulePredictionTable.build(pool.rules, X)
         genome = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
         candidate = SolutionCandidate(genome, 0.0, 4, 0.0)
-        batch = table.mixed(genome, 0.25)
+        (batch,) = table.mixed(genome[None], 0.25)
         for j, row in enumerate(X):
             assert batch[j] == pytest.approx(predict_mixed(candidate, pool, row, 0.25), abs=1e-12)
 
 
+# Mixes 64 genomes over a 64- and a 600-rule table and prints, per table, the
+# sha256 of the stacked mix and of every genome mixed alone.
+THREADED_MIX = """
+import hashlib
+import numpy as np
+from rulemix.model import RulePredictionTable
+rng = np.random.default_rng(0)
+for count in (64, 600):
+    weights = rng.uniform(1.0, 100.0, size=(count, 1))
+    weighted_masks = weights * (rng.random((count, 4_000)) < 0.3)
+    table = RulePredictionTable(weighted_masks, weighted_masks * rng.normal(size=(count, 4_000)))
+    selections = rng.random((64, count)) < 0.5
+    print(hashlib.sha256(table.mixed(selections, 0.25).tobytes()).hexdigest())
+    lone = b"".join(table.mixed(selected[None], 0.25).tobytes() for selected in selections)
+    print(hashlib.sha256(lone).hexdigest())
+"""
+
+
 class TestRulePredictionTableBits:
     """``mixed`` sums pre-weighted rows; each value and the summation order
-    must be the per-call oracle's, bit for bit."""
+    must be the per-call oracle's, bit for bit, for pools BLAS sums in one
+    block. At any pool size, a genome's mix must not depend on the stack it
+    comes in, nor on the BLAS thread count."""
 
     @staticmethod
     def random_rules(rng, count, d):
@@ -581,7 +605,7 @@ class TestRulePredictionTableBits:
     def check(rules, X, selected, default=0.25):
         table = RulePredictionTable.build(rules, X)
         expected = mixed_table_oracle(rules, X, selected, default)
-        assert table.mixed(selected, default).tobytes() == expected.tobytes()
+        assert table.mixed(selected[None], default)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_selections(self, seed):
@@ -625,6 +649,56 @@ class TestRulePredictionTableBits:
         assert (np.signbit(weighted) & (weighted == 0.0)).any()
         for bits in ([1, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]):
             self.check(rules, X, np.array(bits, dtype=bool), default=-0.0)
+
+    @staticmethod
+    def selections(rng, count):
+        """Six genomes of varied density, among them all and no rules."""
+        densities = [rng.random(count) < p for p in (0.5, 0.05, 0.9, 0.3)]
+        return np.array([*densities, np.ones(count, dtype=bool), np.zeros(count, dtype=bool)])
+
+    @pytest.mark.parametrize("rows", [2_000, 10_000])
+    @pytest.mark.parametrize("count", [16, 64, 384, 400, 600])
+    def test_rows_match_lone_and_sub_batch_mixes(self, count, rows):
+        rng = np.random.default_rng(count + rows)
+        rules = self.random_rules(rng, count, 2)
+        X = rng.uniform(-1.5, 3.0, size=(rows, 2))
+        table = RulePredictionTable.build(rules, X)
+        selections = self.selections(rng, count)
+        stacked = table.mixed(selections, 0.25)
+        assert stacked.shape == (len(selections), rows)
+        for start in range(len(selections)):
+            for stop in range(start + 1, len(selections) + 1):
+                assert table.mixed(selections[start:stop], 0.25).tobytes() == stacked[start:stop].tobytes()
+        if count <= 384:
+            for selected, mix in zip(selections, stacked):
+                assert mix.tobytes() == mixed_table_oracle(rules, X, selected, 0.25).tobytes()
+
+    def test_same_bits_under_one_and_two_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(rulemix.model.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", THREADED_MIX], capture_output=True, text=True, env=env, check=True
+            )
+            stacked_64, lone_64, stacked_600, lone_600 = result.stdout.split()
+            # Under either thread count, a genome mixed alone matches its stacked row.
+            assert (lone_64, lone_600) == (stacked_64, stacked_600)
+            outputs.append(stacked_64)
+        # Pools BLAS sums in one block give the same bits under both thread
+        # counts. Larger pools need not: the K blocks may split differently.
+        assert outputs[0] == outputs[1]
+
+    def test_selections_must_be_a_stack_over_the_table(self):
+        table = RulePredictionTable(np.ones((3, 4)), np.ones((3, 4)))
+        for bad in (np.ones(3, dtype=bool), np.ones((2, 4), dtype=bool)):
+            with pytest.raises(ValueError, match="stack of selections over 3 rules"):
+                table.mixed(bad, 0.0)
 
 
 class TestPool:
@@ -702,4 +776,4 @@ class TestSolutionResiduals:
 def test_mixed_predictions_empty_rule_list_gives_default():
     X = np.zeros((4, 2))
     table = RulePredictionTable.build([], X)
-    np.testing.assert_array_equal(table.mixed(np.ones(0, dtype=bool), 1.5), np.full(4, 1.5))
+    np.testing.assert_array_equal(table.mixed(np.ones((1, 0), dtype=bool), 1.5), np.full((1, 4), 1.5))

@@ -106,8 +106,8 @@ class TestFit:
         data = linear_dataset(n=80, seed=6)
         model = fit(data, quick_config(seed=4))
         table = RulePredictionTable.build(model.pool.rules, data.features)
-        candidate = evaluate_candidate(
-            model.best.genome, model.pool, data, model.config.composition, table
+        (candidate,) = evaluate_candidate(
+            model.best.genome[None], model.pool, data, model.config.composition, table
         )
         assert candidate.cached_mse == model.best.cached_mse
         assert candidate.cached_complexity == model.best.cached_complexity
