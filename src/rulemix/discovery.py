@@ -4,16 +4,11 @@ a high-residual training example and grows it until fitness stalls."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 import numpy as np
 
 from .fitness import FitnessParams, rule_fitness
-from .model import Dataset, IntervalCondition, Rule, RuleFitter, fit_rule
-
-# Signature of an injectable rule scorer: (fitted rule, iteration index) -> [0, 1].
-# Iteration 0 is the seed individual.
-FitnessFn = Callable[[Rule, int], float]
+from .model import Dataset, IntervalCondition, LinearSubmodel, Rule, RuleFitter, fit_rule
 
 
 @dataclass(frozen=True)
@@ -105,37 +100,28 @@ def discover_rule(
     residuals: np.ndarray,
     params: DiscoveryParams,
     rng: np.random.Generator,
-    fitness_fn: Optional[FitnessFn] = None,
 ) -> Rule:
     """Evolve one rule and return the elitist the stall window settles on.
 
-    Each iteration fits ``lambda_`` mutated children in one batch, records
-    the best as that iteration's elitist, and replaces the parent only when
-    strictly improved (plus-selection). The search stops once the elitist
-    from ``delta`` iterations ago is strictly fitter than every elitist
-    since, returning that elitist; after ``max_iter`` iterations, or once the
-    parent spans the whole feature box, the best elitist seen wins.
-
-    ``fitness_fn`` overrides the standard rule fitness; it must map into
-    [0, 1] and exists so termination behavior can be exercised directly.
+    Each iteration draws ``lambda_`` mutated children as one stack of bounds,
+    fits and scores them as arrays (one :class:`RuleFitter` call, one
+    ``rule_fitness`` call), and builds a :class:`Rule` only for the fittest
+    child (the first of a tie), that iteration's elitist. The parent is
+    replaced only when strictly improved (plus-selection). The search stops
+    once the elitist from ``delta`` iterations ago is strictly fitter than
+    every elitist since, returning that elitist; after ``max_iter``
+    iterations, or once the parent spans the whole feature box, the best
+    elitist seen wins.
     """
-    # An injected scorer may depend on the iteration, so only the standard
-    # score lets the search stop at the full feature box.
-    stop_at_full_box = fitness_fn is None
     bounds = data.feature_bounds
-    if fitness_fn is None:
-
-        def fitness_fn(rule: Rule, iteration: int) -> float:
-            return rule_fitness(rule, bounds, params.fitness)
-
-    def scored(rule: Rule, iteration: int) -> Rule:
-        return replace(rule, fitness=float(fitness_fn(rule, iteration)))
-
     # The seed box holds its own row, and children only grow their parent,
     # so every rule this search fits matches at least one example.
     index = select_seed_example(data, residuals, rng)
     condition = initial_condition(data.features[index], data, params.sigma_init, rng)
-    parent = scored(fit_rule(condition, data, params.ridge_lambda), 0)
+    seed = fit_rule(condition, data, params.ridge_lambda)
+    errors = np.array([seed.in_sample_error])
+    (fitness,) = rule_fitness(errors, condition.lower[None], condition.upper[None], bounds, params.fitness)
+    parent = replace(seed, fitness=fitness)
 
     # Fits all children of an iteration at once.
     fitter = RuleFitter(data, params.ridge_lambda)
@@ -145,21 +131,18 @@ def discover_rule(
         # A parent spanning the whole feature box breeds only copies of equal
         # fitness: the stall window can never fire and the best elitist is final.
         if (
-            stop_at_full_box
-            and np.array_equal(parent.condition.lower, bounds[:, 0])
+            np.array_equal(parent.condition.lower, bounds[:, 0])
             and np.array_equal(parent.condition.upper, bounds[:, 1])
         ):
             break
         lowers, uppers = _grown_bounds(
-            parent.condition.lower,
-            parent.condition.upper,
-            data,
-            params.mutation_sigma,
-            rng,
-            params.lambda_,
+            parent.condition.lower, parent.condition.upper, data, params.mutation_sigma, rng, params.lambda_
         )
-        children = fitter.fit([IntervalCondition(lo, up) for lo, up in zip(lowers, uppers)])
-        best_child = max((scored(child, iteration) for child in children), key=lambda rule: rule.fitness)
+        counts, coefficients, intercepts, errors = fitter.fit(lowers, uppers)
+        fitnesses = rule_fitness(errors, lowers, uppers, bounds, params.fitness)
+        k = int(np.argmax(fitnesses))
+        box = IntervalCondition(lowers[k], uppers[k])
+        best_child = Rule(box, LinearSubmodel(coefficients[k], intercepts[k]), counts[k], errors[k], fitnesses[k])
         elitists.append(best_child)
         if best_child.fitness > parent.fitness:
             parent = best_child

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IntervalCondition, Rule
-
 
 @dataclass(frozen=True)
 class FitnessParams:
@@ -54,31 +52,36 @@ def pseudo_accuracy(mse: float, beta: float) -> float:
     return math.exp(-mse * beta)
 
 
-def volume_share(condition: IntervalCondition, feature_bounds: np.ndarray) -> float:
-    """Fraction of the observed feature box covered by ``condition``.
+def volume_share(lowers: np.ndarray, uppers: np.ndarray, feature_bounds: np.ndarray) -> np.ndarray:
+    """Per box of the (boxes x d) bound stacks, the fraction of the observed
+    feature box it covers; one box given as two d-vectors gets one share.
 
     Product over dimensions of (upper - lower) / (max - min); a zero-width
     feature dimension carries no generality information and contributes
-    factor 1. Assumes the condition is already clipped to the bounds.
+    factor 1. Assumes the boxes are already clipped to the bounds.
     """
     feature_bounds = np.asarray(feature_bounds, dtype=float)
-    spans = condition.upper - condition.lower
+    spans = uppers - lowers
     ranges = feature_bounds[:, 1] - feature_bounds[:, 0]
     positive = ranges > 0
     factors = np.where(positive, spans / np.where(positive, ranges, 1.0), 1.0)
-    return float(np.prod(factors))
+    return np.prod(factors, axis=-1)
 
 
-def rule_fitness(rule: Rule, feature_bounds: np.ndarray, params: FitnessParams) -> float:
-    """Combined fitness of a rule from its in-sample error and volume share.
+def rule_fitness(
+    errors: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, feature_bounds: np.ndarray, params: FitnessParams
+) -> np.ndarray:
+    """Per box of the (boxes x d) bound stacks, the combined fitness of its
+    in-sample error ``errors[k]`` and its volume share.
 
-    Degenerate rules score 0.
+    Each box is scored by the scalar :func:`pseudo_accuracy` and
+    :func:`combine`, so its bits are those of the one-box formulas
+    (``np.exp`` can differ from ``math.exp`` in the last bit). An empty box
+    carries infinite error, whose accuracy is 0, so it scores 0.
     """
-    if rule.is_degenerate:
-        return 0.0
-    accuracy = pseudo_accuracy(rule.in_sample_error, params.beta)
-    volume = volume_share(rule.condition, feature_bounds)
-    return combine(accuracy, volume, params.alpha)
+    accuracies = [pseudo_accuracy(error, params.beta) for error in np.asarray(errors).tolist()]
+    volumes = volume_share(lowers, uppers, feature_bounds).tolist()
+    return np.array([combine(o1, o2, params.alpha) for o1, o2 in zip(accuracies, volumes)], dtype=float)
 
 
 def candidate_fitness(mse: float, complexity: int, pool_size: int, params: FitnessParams) -> float:

@@ -48,6 +48,13 @@ def _print_metrics(metrics: dict[str, float]) -> None:
         print(_metric(key, value))
 
 
+def _check_trainable(dataset: Dataset, target_name: str, header: bool) -> None:
+    """Refuse to train on targets that are all equal: there is nothing to learn."""
+    if np.all(dataset.targets == dataset.targets[0]):
+        label = repr(target_name) if header else f"index {target_name}"
+        raise DataError(f"target column {label} is constant")
+
+
 def _cmd_fit(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -59,6 +66,7 @@ def _cmd_fit(args) -> int:
     dataset, feature_names, target_name = load_csv_with_names(
         args.data, args.target, header=not args.no_header
     )
+    _check_trainable(dataset, target_name, header=not args.no_header)
     model = fit(dataset, config)
     model = replace(model, target_column=target_name, feature_names=tuple(feature_names))
     with _writing(args.out):
@@ -118,7 +126,8 @@ def _cmd_cv(args) -> int:
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
     config = load_config(args.config)
-    dataset, _, _ = load_csv_with_names(args.data, args.target, header=not args.no_header)
+    dataset, _, target_name = load_csv_with_names(args.data, args.target, header=not args.no_header)
+    _check_trainable(dataset, target_name, header=not args.no_header)
     if k > dataset.n_samples:
         raise DataError(f"cannot split {dataset.n_samples} rows into {k} folds")
 

@@ -129,9 +129,6 @@ def load_csv_with_names(
 
     targets = matrix[:, target_index]
     features = np.delete(matrix, target_index, axis=1)
-    if np.all(targets == targets[0]):
-        target_label = _column_label(names, target_index)
-        raise DataError(f"target column {target_label} is constant")
 
     if names is not None:
         feature_names = [name for j, name in enumerate(names) if j != target_index]

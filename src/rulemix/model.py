@@ -93,19 +93,18 @@ class IntervalCondition:
         return self.lower.shape[0]
 
 
-def match_masks(conditions: Sequence[IntervalCondition], columns: np.ndarray) -> np.ndarray:
-    """(boxes x rows) mask of the rows each condition matches, from the
+def match_masks(lowers: np.ndarray, uppers: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(boxes x rows) mask of the rows each box matches: box ``k`` spans
+    ``lowers[k]`` to ``uppers[k]``, both (boxes x d) stacks, over the
     feature-major matrix ``columns`` (one row per feature).
 
     Every bound test reads one contiguous column, and all boxes are tested
     against it at once.
     """
     d = columns.shape[0]
-    if any(condition.n_features != d for condition in conditions):
-        raise ValueError(f"conditions must have {d} features, one per input column")
-    lowers = np.array([condition.lower for condition in conditions]).reshape(-1, d)
-    uppers = np.array([condition.upper for condition in conditions]).reshape(-1, d)
-    masks = np.ones((len(conditions), columns.shape[1]), dtype=bool)
+    if lowers.shape[1:] != (d,) or uppers.shape != lowers.shape:
+        raise ValueError(f"bounds must have {d} features, one per input column")
+    masks = np.ones((lowers.shape[0], columns.shape[1]), dtype=bool)
     for j, column in enumerate(columns):
         masks &= lowers[:, j, None] <= column
         masks &= column <= uppers[:, j, None]
@@ -174,15 +173,17 @@ PRODUCT_FLOATS = 1 << 22
 class RuleFitter:
     """Fits ridge submodels for many boxes over one dataset at once.
 
-    Each box gets the ridge fit of its matched rows centered on their own
-    mean, so the intercept is unpenalized. The sums behind every box's
-    normal equations come from one matrix product of the boxes' match masks
-    with per-row products of ``w = [1, x, y]``, taken over the rows some box
-    matches; the boxes are then solved as one stack. With ``ridge_lambda >
-    0`` a box whose system is singular gets its minimum-norm solution; with
-    ``ridge_lambda = 0`` every box does (least squares), which handles
-    rank-deficient subsamples. Each box's ``in_sample_error`` comes from real
-    residuals of its submodel on its matched rows, never from those sums.
+    Boxes come as (boxes x d) stacks of lower and upper bounds, and the fits
+    come back as arrays, one row per box. Each box gets the ridge fit of its
+    matched rows centered on their own mean, so the intercept is
+    unpenalized. The sums behind every box's normal equations come from one
+    matrix product of the boxes' match masks with per-row products of ``w =
+    [1, x, y]``, taken over the rows some box matches; the boxes are then
+    solved as one stack. With ``ridge_lambda > 0`` a box whose system is
+    singular gets its minimum-norm solution; with ``ridge_lambda = 0`` every
+    box does (least squares), which handles rank-deficient subsamples. Each
+    box's error comes from real residuals of its submodel on its matched
+    rows, never from those sums.
 
     ``w`` is centered on the mean of the rows every box matches. A box
     containing those rows has a mean no farther from it than its own spread
@@ -204,31 +205,26 @@ class RuleFitter:
     def _chunks(self, n: int) -> Iterator[slice]:
         return (slice(start, start + self._chunk) for start in range(0, n, self._chunk))
 
-    def fit(self, conditions: Sequence[IntervalCondition]) -> list[Rule]:
-        """One rule per condition, in order; fitness is left at 0.
-
-        An empty matched subsample yields a degenerate rule (experience 0,
-        infinite error) instead of raising; callers are expected to discard it.
+    def fit(self, lowers: np.ndarray, uppers: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per box of the (boxes x d) bound stacks: the count of matched rows,
+        the submodel's coefficients and intercept, and its mean squared error
+        on those rows. An empty box gets count 0, zero coefficients and
+        intercept, and infinite error, which every rule fitness scores 0.
         """
-        d = self.data.n_features
-        masks = match_masks(conditions, self._columns)
+        masks = match_masks(lowers, uppers, self._columns)
         counts = masks.sum(axis=1)
         fitted = np.flatnonzero(counts)
         # Only rows some box matches take part in the fits.
         rows = np.flatnonzero(masks[fitted].any(axis=0))
         masks, matched = masks[np.ix_(fitted, rows)], counts[fitted]
         X, y = self._columns[:, rows], self.data.targets[rows]
-        coefficients, intercepts = self._ridge(masks, X, y)
-        errors = self._squared_errors(masks, X, y, coefficients, intercepts) / matched
-        fits = zip(coefficients, intercepts, matched, errors)
-        rules = []
-        for condition, count in zip(conditions, counts):
-            if count == 0:
-                rules.append(Rule(condition, LinearSubmodel(np.zeros(d), 0.0), 0, np.inf))
-            else:
-                coefficient, intercept, experience, error = next(fits)
-                rules.append(Rule(condition, LinearSubmodel(coefficient, intercept), experience, error))
-        return rules
+        coefficients = np.zeros((counts.shape[0], self.data.n_features))
+        intercepts = np.zeros(counts.shape[0])
+        errors = np.full(counts.shape[0], np.inf)
+        fits = self._ridge(masks, X, y)
+        coefficients[fitted], intercepts[fitted] = fits
+        errors[fitted] = self._squared_errors(masks, X, y, *fits) / matched
+        return counts, coefficients, intercepts, errors
 
     def _ridge(self, masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ridge fits of non-empty boxes given by ``masks`` over the
@@ -308,8 +304,10 @@ def _solve_or_minimum_norm(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:
     """Fit a ridge submodel on the subsample matched by ``condition``: the
-    one-box call of :class:`RuleFitter`."""
-    return RuleFitter(data, ridge_lambda).fit([condition])[0]
+    one-box call of :class:`RuleFitter`; fitness is left at 0."""
+    fits = RuleFitter(data, ridge_lambda).fit(condition.lower[None], condition.upper[None])
+    (count,), (coefficients,), (intercept,), (error,) = fits
+    return Rule(condition, LinearSubmodel(coefficients, intercept), count, error)
 
 
 class Pool:
@@ -372,6 +370,13 @@ def mixing_weight(rule: Rule) -> float:
     return rule.experience / (rule.in_sample_error + MIXING_EPSILON)
 
 
+def rule_bounds(rules: Sequence[Rule], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rules x width) stacks of the rules' lower and upper bounds;
+    (0 x d) stacks when there is no rule."""
+    bounds = np.array([(rule.condition.lower, rule.condition.upper) for rule in rules] or np.empty((0, 2, d)))
+    return bounds[:, 0], bounds[:, 1]
+
+
 class RulePredictionTable:
     """Pre-weighted per-rule match masks and predictions over a fixed input
     matrix; mixes a whole stack of genomes in one matrix product.
@@ -391,7 +396,7 @@ class RulePredictionTable:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"expected a 2-D input matrix, got shape {X.shape}")
-        masks = match_masks([rule.condition for rule in rules], np.ascontiguousarray(X.T))
+        masks = match_masks(*rule_bounds(rules, X.shape[1]), np.ascontiguousarray(X.T))
         predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
         for k, rule in enumerate(rules):
             predictions[k] = rule.submodel.predict_batch(X)

@@ -11,7 +11,8 @@ import numpy as np
 from .composition import CompositionParams, compose
 from .discovery import DiscoveryParams, discover_rules
 from .fitness import volume_share
-from .model import DataError, Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate, solution_residuals
+from .model import DataError, Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate
+from .model import rule_bounds, solution_residuals
 
 # Optional early stop: quit when the best fitness improves by less than the
 # tolerance for this many consecutive phases.
@@ -98,16 +99,14 @@ class Model:
             r2 = 1.0 - sse / sst
         else:
             r2 = 1.0 if sse == 0 else 0.0
-        volumes = [
-            volume_share(rule.condition, self.feature_bounds)
-            for _, rule in self.selected_rules()
-        ]
+        rules = [rule for _, rule in self.selected_rules()]
+        volumes = volume_share(*rule_bounds(rules, self.n_features), self.feature_bounds)
         return {
             "mse": float(np.mean(errors**2)),
             "r2": r2,
             "complexity": float(self.best.cached_complexity),
             "pool_size": float(len(self.pool)),
-            "mean_rule_volume": float(np.mean(volumes)) if volumes else 0.0,
+            "mean_rule_volume": float(np.mean(volumes)) if rules else 0.0,
         }
 
 
@@ -134,7 +133,7 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     warm-started population and refreshes the residuals from the new best
     candidate. With elitism and warm starts the per-phase best fitness is
     non-decreasing. Raises :class:`DataError` for values a fit cannot sum,
-    and for a least-squares slope beyond the float range.
+    and when a fitted slope exceeds the float range.
     """
     _check_fittable(data)
     rng = np.random.default_rng(config.rng_seed)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from rulemix import Dataset, IntervalCondition, Rule, mixing_weight
+import rulemix.discovery
+from rulemix import Dataset, IntervalCondition, LinearSubmodel, Rule, mixing_weight
 from rulemix.discovery import _grown_bounds
 
 
@@ -37,6 +40,36 @@ def grow_condition(parent, data, sigma, rng):
     """One growth-only mutation of ``parent``, as discovery draws it."""
     lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, sigma, rng, 1)
     return IntervalCondition(lowers[0], uppers[0])
+
+
+def stacked(conditions, d):
+    """The (boxes x d) lower and upper bound stacks of ``conditions``."""
+    lowers = np.array([condition.lower for condition in conditions], dtype=float).reshape(len(conditions), d)
+    uppers = np.array([condition.upper for condition in conditions], dtype=float).reshape(len(conditions), d)
+    return lowers, uppers
+
+
+def fit_boxes(fitter, conditions):
+    """One rule per condition from one ``RuleFitter.fit`` call over their
+    bound stacks, in order; fitness is left at 0."""
+    fits = fitter.fit(*stacked(conditions, fitter.data.n_features))
+    return [
+        Rule(condition, LinearSubmodel(coefficients, intercept), count, error)
+        for condition, count, coefficients, intercept, error in zip(conditions, *fits)
+    ]
+
+
+def rig_scorer(monkeypatch, score):
+    """Make discovery score each box by ``score(condition, iteration)``
+    instead of the rule fitness. The iteration is the index of the scorer
+    call: 0 for the seed, then one call per iteration for all its children."""
+    iterations = itertools.count()
+
+    def rigged(errors, lowers, uppers, feature_bounds, params):
+        iteration = next(iterations)
+        return np.array([score(IntervalCondition(lower, upper), iteration) for lower, upper in zip(lowers, uppers)])
+
+    monkeypatch.setattr(rulemix.discovery, "rule_fitness", rigged)
 
 
 def match_mask(condition, X):

@@ -12,7 +12,7 @@ import rulemix as rm
 from rulemix.io.cli import cli
 from rulemix.model import RulePredictionTable
 
-from conftest import grow_condition
+from conftest import grow_condition, rig_scorer
 
 
 @contextmanager
@@ -88,13 +88,13 @@ def test_criterion_03_volume_monotone_under_growth():
             X = rng.uniform(-3.0, 3.0, size=(30, d))
             data = rm.Dataset(X, rng.normal(size=30))
             full = rm.IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-            assert rm.volume_share(full, data.feature_bounds) == 1.0
+            assert rm.volume_share(full.lower, full.upper, data.feature_bounds) == 1.0
             x = X[int(rng.integers(0, 30))]
             cond = rm.initial_condition(x, data, 0.1, rng)
-            previous = rm.volume_share(cond, data.feature_bounds)
+            previous = rm.volume_share(cond.lower, cond.upper, data.feature_bounds)
             for _ in range(8):
                 cond = grow_condition(cond, data, float(rng.uniform(0.01, 0.3)), rng)
-                current = rm.volume_share(cond, data.feature_bounds)
+                current = rm.volume_share(cond.lower, cond.upper, data.feature_bounds)
                 assert current >= previous
                 previous = current
             chains += 1
@@ -157,18 +157,19 @@ def test_criterion_05_ga_matches_brute_force():
         assert exact >= 8
 
 
-def test_criterion_06_stall_window_termination():
+def test_criterion_06_stall_window_termination(monkeypatch):
     with criterion(6, "stall window stops at t+delta and returns the peak elitist"):
         data, _, _ = line_problem(0)
         t, delta, lam = 7, 3, 4
         calls = []
 
-        def rigged(rule, iteration):
+        def rigged(condition, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + abs(t - iteration))  # peak 1.0 at iteration t
 
+        rig_scorer(monkeypatch, rigged)
         params = rm.DiscoveryParams(lambda_=lam, delta=delta, max_iter=500)
-        returned = rm.discover_rule(data, np.ones(200), params, np.random.default_rng(5), rigged)
+        returned = rm.discover_rule(data, np.ones(200), params, np.random.default_rng(5))
         assert max(calls) == t + delta  # stopped exactly at iteration t+3
         assert len(calls) == 1 + (t + delta) * lam
         assert returned.fitness == 1.0  # the iteration-t elitist

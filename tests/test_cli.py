@@ -156,6 +156,15 @@ class TestPredictAndEval:
         assert set(values) >= {"mse", "r2", "complexity", "pool_size", "mean_rule_volume"}
         assert float(values["mse"]) >= 0.0
 
+    def test_eval_of_one_row_file(self, workspace, tmp_path, capsys):
+        # One row means a constant target: eval scores it, as it does any file.
+        model_path = run_fit(workspace)
+        capsys.readouterr()
+        labeled = write_csv(tmp_path / "one.csv", np.array([[0.25]]), np.array([1.5]))
+        assert cli(["eval", "--model", str(model_path), "--data", labeled]) == 0
+        values = parse_kv(capsys.readouterr().out)
+        assert float(values["r2"]) in (0.0, 1.0)
+
 
 class TestCv:
     def test_fold_sizes_partition_the_rows(self, tmp_path, capsys):
@@ -437,6 +446,22 @@ class TestExitCodes:
         assert cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)]) == 2
         assert single_error_line(capsys).startswith("error: training targets reach ")
         assert not out.exists()
+
+    def test_constant_target_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, config = workspace
+        data = write_csv(tmp_path / "d.csv", np.array([[0.0], [1.0], [2.0]]), np.array([3.0, 3.0, 3.0]))
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--data", data, "--target", "y", "--config", config, "--out", str(out)]) == 2
+        assert single_error_line(capsys) == "error: target column 'y' is constant"
+        assert not out.exists()
+        args = ["--data", data, "--target", "y", "--config", config, "--folds", "2", "--seed", "0"]
+        assert cli(["cv", *args]) == 2
+        assert single_error_line(capsys) == "error: target column 'y' is constant"
+        headless = tmp_path / "headless.csv"
+        headless.write_text("0,3\n1,3\n", encoding="utf-8")
+        args = ["--data", str(headless), "--target", "1", "--config", config, "--out", str(out), "--no-header"]
+        assert cli(["fit", *args]) == 2
+        assert single_error_line(capsys) == "error: target column index 1 is constant"
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0

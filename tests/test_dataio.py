@@ -118,10 +118,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv_with_names(str(tmp_path / "absent.csv"), "y")
 
-    def test_constant_target_rejected(self, tmp_path):
+    def test_constant_target_loads(self, tmp_path):
+        # Only training refuses a constant target; a labelled file to score may have one.
         path = write(tmp_path, "d.csv", "x,y\n0,3\n1,3\n2,3\n")
-        with pytest.raises(DataError, match="constant"):
-            load_csv_with_names(path, "y")
+        data, _, _ = load_csv_with_names(path, "y")
+        np.testing.assert_array_equal(data.targets, [3.0, 3.0, 3.0])
 
     def test_single_column_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "y\n1\n2\n")

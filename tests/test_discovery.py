@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,16 +14,19 @@ from rulemix import (
     FitnessParams,
     IntervalCondition,
     RuleFitter,
+    combine,
     discover_rule,
     discover_rules,
     fit_rule,
     initial_condition,
+    pseudo_accuracy,
     rule_fitness,
     select_seed_example,
     volume_share,
 )
+from rulemix.discovery import _grown_bounds
 
-from conftest import grow_condition, linear_dataset, matches, rules_equal
+from conftest import abs_dataset, fit_boxes, grow_condition, linear_dataset, matches, rig_scorer, rules_equal
 
 
 class TestSelectSeedExample:
@@ -107,47 +111,49 @@ class TestMutateCondition:
         rng = np.random.default_rng(11)
         data = linear_dataset(n=30, seed=3)
         cond = IntervalCondition([-0.1], [0.1])
-        previous = volume_share(cond, data.feature_bounds)
+        previous = volume_share(cond.lower, cond.upper, data.feature_bounds)
         for _ in range(50):
             cond = grow_condition(cond, data, 0.05, rng)
-            current = volume_share(cond, data.feature_bounds)
+            current = volume_share(cond.lower, cond.upper, data.feature_bounds)
             assert current >= previous
             previous = current
 
 
 class TestDiscoverRule:
-    def test_immediate_stall_with_delta_one(self):
+    def test_immediate_stall_with_delta_one(self, monkeypatch):
         # Seed scores highest; every later elitist is strictly worse, so the
         # window fires after one post-seed iteration and returns the seed.
         data = linear_dataset(n=50, seed=0)
         params = DiscoveryParams(lambda_=4, delta=1, max_iter=100)
         calls = []
 
-        def rigged(rule, iteration):
+        def rigged(condition, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + iteration)
 
-        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(0), rigged)
+        rig_scorer(monkeypatch, rigged)
+        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(0))
         assert rule.fitness == 1.0
         assert calls == [0, 1, 1, 1, 1]
 
-    def test_stall_returns_peak_elitist(self):
+    def test_stall_returns_peak_elitist(self, monkeypatch):
         data = linear_dataset(n=50, seed=0)
         peak = 6
         params = DiscoveryParams(lambda_=3, delta=2, max_iter=100)
         calls = []
 
-        def rigged(rule, iteration):
+        def rigged(condition, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + abs(peak - iteration))
 
-        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(1), rigged)
+        rig_scorer(monkeypatch, rigged)
+        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(1))
         assert rule.fitness == 1.0
         # 1 seed call + lambda calls per iteration, through iteration peak+delta
         assert len(calls) == 1 + (peak + 2) * 3
         assert max(calls) == peak + 2
 
-    def test_tied_children_yield_the_first_scored(self):
+    def test_tied_children_yield_the_first_scored(self, monkeypatch):
         # Every child of iteration 1 ties above the seed and later iterations
         # score lower, so the window returns iteration 1's elitist: the first
         # of the tied children.
@@ -155,26 +161,28 @@ class TestDiscoverRule:
         params = DiscoveryParams(lambda_=4, delta=1, max_iter=100)
         scored = []
 
-        def rigged(rule, iteration):
-            scored.append((iteration, rule))
+        def rigged(condition, iteration):
+            scored.append((iteration, condition))
             return {0: 0.5, 1: 0.9}.get(iteration, 0.1)
 
-        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(0), rigged)
+        rig_scorer(monkeypatch, rigged)
+        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(0))
         assert [iteration for iteration, _ in scored] == [0, 1, 1, 1, 1, 2, 2, 2, 2]
         first = scored[1][1]
         assert rule.fitness == 0.9
-        assert np.array_equal(rule.condition.lower, first.condition.lower)
-        assert np.array_equal(rule.condition.upper, first.condition.upper)
-        assert not np.array_equal(scored[4][1].condition.lower, first.condition.lower)
+        assert np.array_equal(rule.condition.lower, first.lower)
+        assert np.array_equal(rule.condition.upper, first.upper)
+        assert not np.array_equal(scored[4][1].lower, first.lower)
 
-    def test_max_iter_cap_returns_best_seen(self):
+    def test_max_iter_cap_returns_best_seen(self, monkeypatch):
         data = linear_dataset(n=50, seed=0)
         params = DiscoveryParams(lambda_=2, delta=5, max_iter=7)
 
-        def rigged(rule, iteration):
+        def rigged(condition, iteration):
             return iteration / 10.0  # strictly improving, never stalls
 
-        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(2), rigged)
+        rig_scorer(monkeypatch, rigged)
+        rule = discover_rule(data, np.ones(50), params, np.random.default_rng(2))
         assert rule.fitness == pytest.approx(0.7)
 
     def test_deterministic_for_fixed_seed(self):
@@ -201,26 +209,12 @@ class TestDiscoverRule:
         params = DiscoveryParams()
         full_range = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
         oracle = fit_rule(full_range, data, params.ridge_lambda)
-        oracle_fitness = rule_fitness(oracle, data.feature_bounds, params.fitness)
+        errors, lowers, uppers = np.array([oracle.in_sample_error]), full_range.lower[None], full_range.upper[None]
+        (oracle_fitness,) = rule_fitness(errors, lowers, uppers, data.feature_bounds, params.fitness)
         for seed in range(10):
             rule = discover_rule(data, residuals, params, np.random.default_rng(seed))
             assert rule.fitness >= 0.9 * oracle_fitness
             assert rule.in_sample_error <= 1e-3
-
-    def test_full_box_stop_returns_what_running_on_would(self):
-        # The injected scorer scores exactly as the standard one, but runs on
-        # to max_iter once the box spans the whole feature range.
-        data = linear_dataset(n=200)
-        residuals = data.targets - data.targets.mean()
-        params = DiscoveryParams()
-
-        def standard(rule, iteration):
-            return rule_fitness(rule, data.feature_bounds, params.fitness)
-
-        for seed in range(2):
-            stopped = discover_rule(data, residuals, params, np.random.default_rng(seed))
-            ran_on = discover_rule(data, residuals, params, np.random.default_rng(seed), standard)
-            assert rules_equal(stopped, ran_on)
 
     def test_full_box_stop_ends_before_max_iter(self, monkeypatch):
         data = linear_dataset(n=200)
@@ -229,9 +223,9 @@ class TestDiscoverRule:
         batch_sizes = []
         batch_fit = RuleFitter.fit
 
-        def counting_fit(self, conditions):
-            batch_sizes.append(len(conditions))
-            return batch_fit(self, conditions)
+        def counting_fit(self, lowers, uppers):
+            batch_sizes.append(len(lowers))
+            return batch_fit(self, lowers, uppers)
 
         monkeypatch.setattr(RuleFitter, "fit", counting_fit)
         rule = discover_rule(data, residuals, params, np.random.default_rng(0))
@@ -276,6 +270,89 @@ class TestSeedBoxHoldsItsRow:
         assert len(picks) == 1
         assert rule.experience >= 1
         assert matches(rule.condition, data.features[picks[0]])
+
+
+def box_volume(condition, feature_bounds):
+    """One box's volume share, computed on its own."""
+    ranges = feature_bounds[:, 1] - feature_bounds[:, 0]
+    positive = ranges > 0
+    spans = condition.upper - condition.lower
+    return float(np.prod(np.where(positive, spans / np.where(positive, ranges, 1.0), 1.0)))
+
+
+def object_discover_rule(data, residuals, params, rng, stop_at_full_box):
+    """Oracle for ``discover_rule`` over rule objects: every child of an
+    iteration becomes a ``Rule`` scored on its own by the one-box formulas,
+    and ``max`` picks the elitist. Without ``stop_at_full_box`` the search
+    runs on past a parent spanning the whole feature box, to the stall
+    window or ``max_iter``."""
+    bounds = data.feature_bounds
+
+    def scored(rule):
+        accuracy = pseudo_accuracy(rule.in_sample_error, params.fitness.beta)
+        fitness = combine(accuracy, box_volume(rule.condition, bounds), params.fitness.alpha)
+        return replace(rule, fitness=0.0 if rule.is_degenerate else fitness)
+
+    index = select_seed_example(data, residuals, rng)
+    condition = initial_condition(data.features[index], data, params.sigma_init, rng)
+    parent = scored(fit_rule(condition, data, params.ridge_lambda))
+    fitter = RuleFitter(data, params.ridge_lambda)
+    elitists = [parent]
+    for iteration in range(1, params.max_iter + 1):
+        full = np.array_equal(parent.condition.lower, bounds[:, 0]) and np.array_equal(
+            parent.condition.upper, bounds[:, 1]
+        )
+        if stop_at_full_box and full:
+            break
+        lowers, uppers = _grown_bounds(
+            parent.condition.lower, parent.condition.upper, data, params.mutation_sigma, rng, params.lambda_
+        )
+        children = fit_boxes(fitter, [IntervalCondition(lo, up) for lo, up in zip(lowers, uppers)])
+        best_child = max((scored(child) for child in children), key=lambda rule: rule.fitness)
+        elitists.append(best_child)
+        if best_child.fitness > parent.fitness:
+            parent = best_child
+        if iteration >= params.delta:
+            stalled = elitists[iteration - params.delta]
+            if all(stalled.fitness > later.fitness for later in elitists[iteration - params.delta + 1 :]):
+                return stalled
+    return max(elitists, key=lambda rule: rule.fitness)
+
+
+class TestMatchesObjectOracle:
+    """``discover_rule`` returns the oracle's rule bit for bit and leaves its
+    rng where the oracle leaves it; the full-box stop returns what running
+    on would."""
+
+    @staticmethod
+    def check(data, residuals, params, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rule = discover_rule(data, residuals, params, rng)
+        assert rules_equal(rule, object_discover_rule(data, residuals, params, oracle_rng, True))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        ran_on = object_discover_rule(data, residuals, params, np.random.default_rng(seed), False)
+        assert rules_equal(rule, ran_on)
+        return rule
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_runs_that_reach_the_full_box(self, seed):
+        data = linear_dataset(n=200)
+        rule = self.check(data, data.targets - data.targets.mean(), DiscoveryParams(), seed)
+        np.testing.assert_array_equal(rule.condition.lower, data.feature_bounds[:, 0])
+        np.testing.assert_array_equal(rule.condition.upper, data.feature_bounds[:, 1])
+
+    def test_runs_that_stall(self):
+        data = abs_dataset(n=120)
+        for seed in range(4):
+            rule = self.check(data, data.targets - data.targets.mean(), DiscoveryParams(lambda_=6), seed)
+            assert box_volume(rule.condition, data.feature_bounds) < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeded_searches(), st.floats(1e-6, 1.0), st.sampled_from([0.0, 0.01]))
+    def test_small_datasets(self, search, sigma_init, ridge_lambda):
+        data, residuals, seed = search
+        params = DiscoveryParams(lambda_=4, delta=2, max_iter=20, sigma_init=sigma_init, ridge_lambda=ridge_lambda)
+        self.check(data, residuals, params, seed)
 
 
 class TestDiscoverRules:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from rulemix import (
     FitnessParams,
     IntervalCondition,
-    LinearSubmodel,
-    Rule,
     candidate_fitness,
     combine,
     pseudo_accuracy,
@@ -97,47 +96,63 @@ class TestVolumeShare:
 
     def test_full_range_is_one(self):
         cond = IntervalCondition([-1.0, 0.0], [1.0, 4.0])
-        assert volume_share(cond, self.bounds) == 1.0
+        assert volume_share(cond.lower, cond.upper, self.bounds) == 1.0
 
     def test_half_per_dimension(self):
         cond = IntervalCondition([-0.5, 1.0], [0.5, 3.0])
-        assert volume_share(cond, self.bounds) == pytest.approx(0.25, abs=1e-15)
+        assert volume_share(cond.lower, cond.upper, self.bounds) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_width_condition_dimension(self):
         cond = IntervalCondition([0.0, 1.0], [0.0, 3.0])
-        assert volume_share(cond, self.bounds) == 0.0
+        assert volume_share(cond.lower, cond.upper, self.bounds) == 0.0
 
     def test_constant_feature_contributes_factor_one(self):
         flat = np.array([[-1.0, 1.0], [2.0, 2.0]])
         cond = IntervalCondition([-1.0, 2.0], [0.0, 2.0])
-        assert volume_share(cond, flat) == pytest.approx(0.5, abs=1e-15)
+        assert volume_share(cond.lower, cond.upper, flat) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestRuleFitness:
     bounds = np.array([[-1.0, 1.0]])
 
-    def _rule(self, error, lower=-1.0, upper=1.0, experience=10):
-        return Rule(
-            IntervalCondition([lower], [upper]),
-            LinearSubmodel(np.zeros(1), 0.0),
-            experience,
-            error,
-        )
+    def _score(self, error, params, lower=-1.0, upper=1.0):
+        """The fitness of one box ``[lower, upper]`` with in-sample ``error``."""
+        (fitness,) = rule_fitness(np.array([error]), np.array([[lower]]), np.array([[upper]]), self.bounds, params)
+        return fitness
 
     def test_perfect_full_volume_rule(self):
         params = FitnessParams(alpha=0.5, beta=2.0)
-        assert rule_fitness(self._rule(0.0), self.bounds, params) == 1.0
+        assert self._score(0.0, params) == 1.0
 
     def test_degenerate_rule_scores_zero(self):
-        degenerate = Rule(
-            IntervalCondition([-1.0], [1.0]), LinearSubmodel(np.zeros(1), 0.0), 0, np.inf
-        )
-        assert rule_fitness(degenerate, self.bounds, FitnessParams()) == 0.0
+        # An empty box carries infinite error.
+        assert self._score(np.inf, FitnessParams()) == 0.0
 
     def test_analytic_composition(self):
         params = FitnessParams(alpha=1.0, beta=2.0)
-        rule = self._rule(math.log(2) / 2, lower=-1.0, upper=0.0)
-        assert rule_fitness(rule, self.bounds, params) == pytest.approx(0.5, abs=1e-12)
+        assert self._score(math.log(2) / 2, params, lower=-1.0, upper=0.0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_stack_scores_each_box_as_the_one_box_formulas(self):
+        rng = np.random.default_rng(3)
+        bounds = np.array([[-1.0, 1.0], [0.0, 4.0], [2.0, 2.0]])
+        a, b = rng.uniform(bounds[:, 0], bounds[:, 1], size=(2, 400, 3))
+        lowers, uppers = np.minimum(a, b), np.maximum(a, b)
+        errors = rng.exponential(0.3, size=400)
+        # An empty box, and a zero-volume box whose accuracy underflows to 0.
+        errors[:2] = [np.inf, 1e3]
+        lowers[1, 0] = uppers[1, 0]
+        params = FitnessParams(alpha=0.3, beta=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitness = rule_fitness(errors, lowers, uppers, bounds, params)
+        one_box = [
+            combine(pseudo_accuracy(error, params.beta), float(volume_share(lower, upper, bounds)), params.alpha)
+            for error, lower, upper in zip(errors.tolist(), lowers, uppers)
+        ]
+        assert fitness.tolist() == one_box
+        assert pseudo_accuracy(1e3, params.beta) == 0.0 and volume_share(lowers[1], uppers[1], bounds) == 0.0
+        assert fitness[:2].tolist() == [0.0, 0.0]
+        assert rule_fitness(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), bounds, params).shape == (0,)
 
 
 class TestCandidateFitness:

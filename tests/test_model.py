@@ -23,12 +23,14 @@ from rulemix.model import RulePredictionTable, match_masks
 
 from conftest import (
     box_ridge,
+    fit_boxes,
     linear_dataset,
     match_mask,
     matches,
     mixed_table_oracle,
     predict_mixed,
     predict_one,
+    stacked,
 )
 
 
@@ -114,7 +116,7 @@ class TestMatches:
         rng = np.random.default_rng(0)
         X = rng.uniform(-2, 2, size=(50, 3))
         cond = IntervalCondition([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
-        mask = match_masks([cond], np.ascontiguousarray(X.T))[0]
+        mask = match_masks(cond.lower[None], cond.upper[None], np.ascontiguousarray(X.T))[0]
         assert mask.tolist() == [matches(cond, row) for row in X]
 
 
@@ -124,7 +126,7 @@ class TestMatchMasks:
     @staticmethod
     def check(conditions, X):
         X = np.asarray(X, dtype=float)
-        masks = match_masks(conditions, np.ascontiguousarray(X.T))
+        masks = match_masks(*stacked(conditions, X.shape[1]), np.ascontiguousarray(X.T))
         assert masks.shape == (len(conditions), X.shape[0])
         assert masks.dtype == bool
         for mask, condition in zip(masks, conditions):
@@ -178,7 +180,7 @@ class TestMatchMasks:
     def test_wrong_width_condition_rejected(self):
         conditions = [IntervalCondition([0.0, 0.0], [1.0, 1.0])] * 3
         with pytest.raises(ValueError, match="3 features"):
-            match_masks(conditions, np.zeros((3, 5)))
+            match_masks(*stacked(conditions, 2), np.zeros((3, 5)))
 
     def test_table_of_wrong_width_rejected(self):
         rules = [make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0)] * 3
@@ -304,13 +306,13 @@ class TestRuleFitter:
         data = Dataset(X, X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 120))
         conditions = self.boxes(data, rng)
         fitter = RuleFitter(data, ridge_lambda)
-        rules = fitter.fit(conditions)
+        rules = fit_boxes(fitter, conditions)
         assert [rule.experience for rule in rules[-3:]] == [0, 1, 120]
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
         nested = self.nested_boxes(data, rng)
-        self.assert_matches_oracle(data, nested, fitter.fit(nested), ridge_lambda)
-        assert fitter.fit([]) == []
-        assert fitter.fit(conditions[-3:-2])[0].is_degenerate
+        self.assert_matches_oracle(data, nested, fit_boxes(fitter, nested), ridge_lambda)
+        assert fit_boxes(fitter, []) == []
+        assert fit_boxes(fitter, conditions[-3:-2])[0].is_degenerate
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -342,7 +344,7 @@ class TestRuleFitter:
         pairs = [(i % len(X), j % len(X)) for i, j in pairs]
         conditions = [IntervalCondition(np.minimum(X[i], X[j]), np.maximum(X[i], X[j])) for i, j in pairs]
         conditions.append(IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1]))
-        rules = RuleFitter(data, ridge_lambda).fit(conditions)
+        rules = fit_boxes(RuleFitter(data, ridge_lambda), conditions)
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
 
     @pytest.mark.parametrize("shape", ["random", "nested"])
@@ -351,9 +353,9 @@ class TestRuleFitter:
         X = rng.uniform(-1.0, 1.0, size=(97, 2))
         data = Dataset(X, np.abs(X[:, 0]) + X[:, 1])
         conditions = self.boxes(data, rng) if shape == "random" else self.nested_boxes(data, rng)
-        one_pass = RuleFitter(data, 0.01).fit(conditions)
+        one_pass = fit_boxes(RuleFitter(data, 0.01), conditions)
         monkeypatch.setattr(rulemix.model, "PRODUCT_FLOATS", 50)  # 5-row chunks
-        chunked = RuleFitter(data, 0.01).fit(conditions)
+        chunked = fit_boxes(RuleFitter(data, 0.01), conditions)
         for a, b in zip(one_pass, chunked):
             assert a.experience == b.experience
             np.testing.assert_allclose(a.submodel.coefficients, b.submodel.coefficients, atol=1e-12)
@@ -369,7 +371,7 @@ class TestRuleFitter:
         conditions = [IntervalCondition(row, row) for row in data.features[:5]]
         hi, width = data.feature_bounds[:, 1], np.ptp(data.features, axis=0)
         conditions += [IntervalCondition(hi - share * width, hi) for share in (0.5, 0.8)]
-        rules = RuleFitter(data, 0.01).fit(conditions)
+        rules = fit_boxes(RuleFitter(data, 0.01), conditions)
         for condition, rule in zip(conditions, rules):
             experience, coefficients, intercept, mse = box_ridge(
                 data, condition.lower, condition.upper, 0.01
@@ -390,7 +392,7 @@ class TestRuleFitter:
         parent = IntervalCondition([1e6 - 1.0, lo[1]], hi)
         children = [IntervalCondition([1e6 - width, lo[1]], hi) for width in (1.5, 2.0, 3.0)]
         conditions = [parent, *children]
-        self.assert_close_to_oracle(data, conditions, RuleFitter(data, 0.01).fit(conditions))
+        self.assert_close_to_oracle(data, conditions, fit_boxes(RuleFitter(data, 0.01), conditions))
         self.assert_close_to_oracle(data, [parent], [fit_rule(parent, data, 0.01)])
 
     def test_box_constant_in_a_far_offset_column(self):
@@ -400,7 +402,7 @@ class TestRuleFitter:
         X = np.column_stack([rng.choice([0.0, 1e6], 400), rng.uniform(-1.0, 1.0, 400)])
         data = Dataset(X, X[:, 1] ** 2 + rng.normal(0.0, 0.1, 400))
         conditions = [IntervalCondition([1e6, -0.5 - s], [1e6, 0.5 + s]) for s in (0.0, 0.1, 0.3)]
-        rules = RuleFitter(data, 0.01).fit(conditions)
+        rules = fit_boxes(RuleFitter(data, 0.01), conditions)
         self.assert_close_to_oracle(data, conditions, rules)
         assert all(rule.submodel.coefficients[0] == 0.0 for rule in rules)
 
@@ -426,8 +428,8 @@ class TestRuleFitter:
         singular = IntervalCondition([0.0, 0.0], [3e8, 1e8])
         right = IntervalCondition([0.0, -5e8], [9e8, 1e8])
         fitter = RuleFitter(data, 0.01)
-        with_singular = fitter.fit([left, singular, right])
-        without = fitter.fit([left, right])
+        with_singular = fit_boxes(fitter, [left, singular, right])
+        without = fit_boxes(fitter, [left, right])
         for alone, batched in zip(without, [with_singular[0], with_singular[2]]):
             assert batched.experience == alone.experience == 5
             np.testing.assert_array_equal(batched.submodel.coefficients, alone.submodel.coefficients)
@@ -449,7 +451,7 @@ class TestRuleFitter:
     def test_wrong_width_condition_rejected(self):
         data = Dataset([[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0])
         with pytest.raises(ValueError):
-            RuleFitter(data, 0.01).fit([IntervalCondition([0.0], [1.0])])
+            RuleFitter(data, 0.01).fit(np.array([[0.0]]), np.array([[1.0]]))
 
 
 class TestPredictRule:
