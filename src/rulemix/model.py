@@ -179,11 +179,16 @@ class RuleFitter:
     unpenalized. The sums behind every box's normal equations come from one
     matrix product of the boxes' match masks with per-row products of ``w =
     [1, x, y]``, taken over the rows some box matches; the boxes are then
-    solved as one stack. With ``ridge_lambda > 0`` a box whose system is
-    singular gets its minimum-norm solution; with ``ridge_lambda = 0`` every
-    box does (least squares), which handles rank-deficient subsamples. Each
-    box's error comes from real residuals of its submodel on its matched
-    rows, never from those sums.
+    solved as one stack. That product reads two C-ordered operands: the
+    (boxes x rows) masks and a (rows x products) scratch the row products
+    are written into. BLAS sums a product in an order that depends on its
+    operands' memory layout, so this layout is part of the fit's bits.
+
+    With ``ridge_lambda > 0`` a box whose system is singular gets its
+    minimum-norm solution; with ``ridge_lambda = 0`` every box does (least
+    squares), which handles rank-deficient subsamples. Each box's error
+    comes from real residuals of its submodel on its matched rows, never
+    from those sums.
 
     ``w`` is centered on the mean of the rows every box matches. A box
     containing those rows has a mean no farther from it than its own spread
@@ -200,6 +205,8 @@ class RuleFitter:
         # Feature-major copy: each bound test reads one contiguous column.
         self._columns = np.ascontiguousarray(data.features.T)
         self._upper_rows, self._upper_cols = np.triu_indices(data.n_features + 2)
+        # Where row i's products w[i] * w[i:] start among the upper triangle's.
+        self._row_starts = np.flatnonzero(self._upper_rows == self._upper_cols)
         self._chunk = max(1, PRODUCT_FLOATS // self._upper_rows.size)
 
     def _chunks(self, n: int) -> Iterator[slice]:
@@ -214,9 +221,10 @@ class RuleFitter:
         masks = match_masks(lowers, uppers, self._columns)
         counts = masks.sum(axis=1)
         fitted = np.flatnonzero(counts)
+        masks, matched = masks.take(fitted, axis=0), counts[fitted]
         # Only rows some box matches take part in the fits.
-        rows = np.flatnonzero(masks[fitted].any(axis=0))
-        masks, matched = masks[np.ix_(fitted, rows)], counts[fitted]
+        rows = np.flatnonzero(masks.any(axis=0))
+        masks = masks.take(rows, axis=1)
         X, y = self._columns[:, rows], self.data.targets[rows]
         coefficients = np.zeros((counts.shape[0], self.data.n_features))
         intercepts = np.zeros(counts.shape[0])
@@ -238,15 +246,20 @@ class RuleFitter:
                 (coefficients[k],), (intercepts[k],) = self._ridge(mask[None, mask], X[:, mask], y[mask])
             return coefficients, intercepts
         d = X.shape[0]
-        w = np.vstack([np.ones(X.shape[1]), X, y])
+        w = np.empty((d + 2, X.shape[1]))
+        w[0], w[1:-1], w[-1] = 1.0, X, y
         reference = w[:, shared].mean(axis=1)
         reference[0] = 0.0  # the leading row of ones stays ones
         w -= reference[:, None]
         upper = np.zeros((masks.shape[0], self._upper_rows.size))
+        # Row-major (rows x products): the matrix product reads it C-ordered.
+        scratch = np.empty((min(self._chunk, w.shape[1]), self._upper_rows.size))
         for rows in self._chunks(w.shape[1]):
             block = w[:, rows]
-            products = np.vstack([block[i] * block[i:] for i in range(d + 2)])
-            upper += masks[:, rows].astype(float) @ products.T
+            products = scratch[: block.shape[1]]
+            for i, start in enumerate(self._row_starts):
+                np.multiply(block[i], block[i:], out=products[:, start : start + d + 2 - i].T)
+            upper += masks[:, rows].astype(float) @ products
         sums = np.empty((masks.shape[0], d + 2, d + 2))
         sums[:, self._upper_rows, self._upper_cols] = upper
         sums[:, self._upper_cols, self._upper_rows] = upper

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rulemix.discovery
+import rulemix.model
 from rulemix import Dataset, IntervalCondition, LinearSubmodel, Rule, mixing_weight
 from rulemix.discovery import _grown_bounds
 
@@ -124,6 +125,56 @@ def mixed_table_oracle(rules, X, selected, default):
     out = np.full(X.shape[0], float(default))
     np.divide(numerator, denominator, out=out, where=denominator > 0.0)
     return out
+
+
+def rule_fit_oracle(data, lowers, uppers, ridge_lambda):
+    """Plain-numpy oracle for the bits of ``RuleFitter.fit`` on non-empty
+    boxes that share a row, with ``ridge_lambda > 0``. The row products of
+    ``w = [1, x, y]`` (centered on the mean of the shared rows) form an
+    explicit C-ordered (rows x products) matrix; the C-ordered (boxes x
+    rows) masks times it, in row chunks of ``PRODUCT_FLOATS`` floats, give
+    every box's sums. BLAS sums a matrix product in an order that depends on
+    its operands' memory layout, so these bits pin the layout too. Returns
+    (counts, coefficients, intercepts, errors)."""
+    X, y = data.features, data.targets
+    d = X.shape[1]
+    masks = np.array([match_mask(IntervalCondition(lower, upper), X) for lower, upper in zip(lowers, uppers)])
+    counts = masks.sum(axis=1)
+    rows = np.flatnonzero(masks.any(axis=0))
+    masks, X, y = np.ascontiguousarray(masks[:, rows]), X[rows], y[rows]
+    shared = masks.all(axis=0)
+    assert counts.all() and shared.any(), "the oracle fits non-empty boxes with a row in common"
+    w = np.column_stack([np.ones(len(rows)), X, y])
+    reference = w[shared].mean(axis=0)
+    reference[0] = 0.0
+    w -= reference
+    upper_rows, upper_cols = np.triu_indices(d + 2)
+    products = np.empty((len(rows), upper_rows.size))
+    for k, (i, j) in enumerate(zip(upper_rows, upper_cols)):
+        products[:, k] = w[:, i] * w[:, j]
+    chunk = max(1, rulemix.model.PRODUCT_FLOATS // upper_rows.size)
+    upper = np.zeros((len(masks), upper_rows.size))
+    for start in range(0, len(rows), chunk):
+        upper += masks[:, start : start + chunk].astype(float) @ products[start : start + chunk]
+    sums = np.empty((len(masks), d + 2, d + 2))
+    sums[:, upper_rows, upper_cols] = upper
+    sums[:, upper_cols, upper_rows] = upper
+    # Intercept eliminated: the scatter of [x, y] about each box's own mean.
+    count = sums[:, 0, 0, None, None]
+    totals = sums[:, 0, 1:]
+    scatter = sums[:, 1:, 1:] - totals[:, :, None] * totals[:, None, :] / count
+    gram, rhs = scatter[:, :d, :d], scatter[:, :d, d:]
+    gram[:, range(d), range(d)] += ridge_lambda
+    coefficients = np.linalg.solve(gram, rhs)[:, :, 0]
+    box_means = totals / count[:, :, 0] + reference[1:]
+    intercepts = box_means[:, d] - np.einsum("kd,kd->k", coefficients, box_means[:, :d])
+    # Errors from real residuals, in the same row chunks; X.T is feature-major.
+    errors = np.zeros(len(masks))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        residuals = (coefficients @ X[part].T + intercepts[:, None] - y[part]) * masks[:, part]
+        errors += np.einsum("kn,kn->k", residuals, residuals)
+    return counts, coefficients, intercepts, errors / counts
 
 
 def box_ridge(data, lower, upper, ridge_lambda):

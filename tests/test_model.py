@@ -19,6 +19,7 @@ from rulemix import (
     fit_rule,
     solution_residuals,
 )
+from rulemix.discovery import _grown_bounds
 from rulemix.model import RulePredictionTable, match_masks
 
 from conftest import (
@@ -30,6 +31,7 @@ from conftest import (
     mixed_table_oracle,
     predict_mixed,
     predict_one,
+    rule_fit_oracle,
     stacked,
 )
 
@@ -452,6 +454,52 @@ class TestRuleFitter:
         data = Dataset([[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0])
         with pytest.raises(ValueError):
             RuleFitter(data, 0.01).fit(np.array([[0.0]]), np.array([[1.0]]))
+
+
+class TestRuleFitterBits:
+    """The fit must give the oracle's bits: sums from an explicit C-ordered
+    (rows x products) matrix. Another layout of the same products gives
+    another summation order, and on some BLAS kernels other model bytes."""
+
+    @staticmethod
+    def iteration(d, n, share, seed):
+        """Data like the benchmark's and the 16 children of one discovery
+        iteration, grown from a parent box holding about ``share`` of the
+        rows: nested boxes with the parent's rows in common."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        y = np.abs(X[:, 0]) + 1.5 * np.abs(X[:, -1]) + rng.normal(0.0, 0.05, n)
+        data = Dataset(X, y)
+        half = share ** (1.0 / d)  # half the span of [-1, 1] per feature
+        centre = rng.uniform(half - 1.0, 1.0 - half, d)
+        lowers, uppers = _grown_bounds(centre - half, centre + half, data, 0.05, rng, 16)
+        return data, lowers, uppers
+
+    @staticmethod
+    def check(data, lowers, uppers):
+        fits = RuleFitter(data, 0.01).fit(lowers, uppers)
+        expected = rule_fit_oracle(data, lowers, uppers, 0.01)
+        for got, want in zip(fits, expected):
+            assert got.tobytes() == want.tobytes()
+
+    # Parent shares that make the children match about 150 or 4,000 rows.
+    @pytest.mark.parametrize(
+        "d, n, share, rows",
+        [(1, 400, 0.2, 150), (2, 400, 0.2, 150), (6, 400, 0.1, 150)]
+        + [(1, 8_000, 0.3, 4_000), (2, 8_000, 0.3, 4_000), (6, 8_000, 0.15, 4_000)],
+    )
+    def test_matches_oracle(self, d, n, share, rows):
+        data, lowers, uppers = self.iteration(d, n, share, seed=10 * d + n)
+        matched = match_masks(lowers, uppers, np.ascontiguousarray(data.features.T)).any(axis=0).sum()
+        assert 0.8 * rows < matched < 1.3 * rows
+        self.check(data, lowers, uppers)
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_row_chunks_match_oracle(self, monkeypatch, d):
+        data, lowers, uppers = self.iteration(d, 2_000, 0.5, seed=d)
+        products = (d + 2) * (d + 3) // 2
+        monkeypatch.setattr(rulemix.model, "PRODUCT_FLOATS", 300 * products)  # 300-row chunks
+        self.check(data, lowers, uppers)
 
 
 class TestPredictRule:
