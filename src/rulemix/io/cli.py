@@ -87,7 +87,7 @@ def _cmd_predict(args) -> int:
     predictions = model.predict(X)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("prediction\r\n")
-        handle.writelines(f"{value:.17g}\r\n" for value in predictions.tolist())
+        handle.write("%.17g\r\n" * len(predictions) % tuple(predictions.tolist()))
     print(f"predictions={args.out}")
     print(f"rows={len(predictions)}")
     return 0

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import re
 from typing import Union
 
 import numpy as np
@@ -12,26 +12,56 @@ import numpy as np
 from ..model import DataError, Dataset
 
 
-def _read_table(path: str, header: bool) -> tuple[list[list[str]], list[str] | None, int]:
-    """Data rows, header names (``None`` without a header) and the file line
-    number of the first data row."""
+# Characters that keep a body off the bulk path: csv's quote, and the
+# separators U+001C to U+001F, which numpy strips from a cell as whitespace
+# and ``float()`` refuses.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+# One line with its end, split where a file opened with ``newline=""`` splits
+# lines: at ``\r\n``, ``\r`` or ``\n``.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _read_text(path: str) -> str:
+    """The file decoded in one piece, so a decode error names its byte offset
+    in the file."""
     try:
-        # ``utf-8-sig`` drops the byte-order mark spreadsheet exports put first.
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    names: list[str] | None = None
-    first_line = 1
-    if header:
-        if not rows:
-            raise DataError(f"{path} is empty; expected a header row")
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        first_line = 2
-    if not rows:
-        raise DataError(f"{path} contains no data rows")
-    return rows, names, first_line
+    # Spreadsheet exports put a UTF-8 byte-order mark first.
+    return text.removeprefix("\ufeff")
+
+
+def _parse_plain(body: str, width: int | None) -> np.ndarray | None:
+    """``body`` parsed by numpy's C text reader, or ``None`` when it is not
+    plain or the reader refuses it.
+
+    A plain body has none of ``_NOT_PLAIN``, ends its lines only with ``\\n``
+    or ``\\r\\n``, and has no blank line and no line longer than the csv field
+    limit. So ``csv.reader`` would split each line at every ``,`` and never
+    raise. numpy strips a cell's whitespace and converts it with the C
+    routine that ``float()`` calls, so an accepted cell has ``float()``'s
+    bits; the cells it refuses that ``float()`` takes (``1_0``, non-ASCII
+    digits) go to the per-cell loop.
+    """
+    if any(char in body for char in _NOT_PLAIN) or ("\r" in body and body.count("\r") != body.count("\r\n")):
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # numpy skips a blank line (and warns when all are blank), where csv
+    # gives an empty, ragged row.
+    if not lines or "" in lines or "\r" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape[0] != len(lines) or width not in (None, matrix.shape[1]) or not np.isfinite(matrix).all():
+        return None
+    return matrix
 
 
 def _column_label(names: list[str] | None, index: int) -> str:
@@ -67,26 +97,37 @@ def _parse_cells(rows: list[list[str]], names: list[str] | None, first_line: int
     return parsed
 
 
-def _parse_matrix(rows: list[list[str]], names: list[str] | None, first_line: int) -> np.ndarray:
-    """The table as a finite float matrix, converted in one numpy call.
+def _load_table(path: str, header: bool) -> tuple[np.ndarray, list[str] | None]:
+    """The table as a finite float matrix, and its header names (``None``
+    without a header).
 
-    numpy converts each ``str`` cell with ``float()`` itself, so the bulk call
-    accepts and rejects exactly what ``_parse_cell`` does, with the same bits.
-    The per-cell loop runs only when the bulk call refuses the table, to word
-    the error.
+    The header is split by ``csv.reader``. A plain body goes through
+    ``_parse_plain`` in bulk; any other body, or one it refuses, is split by
+    ``csv.reader`` and parsed by ``_parse_cells``, which words the first
+    problem in row order.
     """
-    width = len(names) if names is not None else len(rows[0])
-    # Widths are checked first: given a count, ``fromiter`` stops once it has
-    # that many cells, so rows of 3 and 1 cells would fill a 2x2 matrix.
-    if all(len(row) == width for row in rows):
-        try:
-            parsed = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(parsed).all():
-                return parsed.reshape(len(rows), width)
-    return _parse_cells(rows, names, first_line, width)
+    text = _read_text(path)
+    reader = csv.reader(line[0] for line in _LINE.finditer(text))
+    names: list[str] | None = None
+    try:
+        body: str | None = text
+        if header:
+            row = next(reader, None)
+            if row is None:
+                raise DataError(f"{path} is empty; expected a header row")
+            names = [cell.strip() for cell in row]
+            # A header whose quoted cell spans lines leaves the body to csv.
+            body = text[_LINE.match(text).end():] if reader.line_num == 1 else None
+        matrix = None if body is None else _parse_plain(body, None if names is None else len(names))
+        if matrix is None:
+            rows = list(reader)
+            if not rows:
+                raise DataError(f"{path} contains no data rows")
+            width = len(names) if names is not None else len(rows[0])
+            matrix = _parse_cells(rows, names, 2 if header else 1, width)
+    except csv.Error as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return matrix, names
 
 
 def _resolve_target(target_column: Union[str, int], names: list[str] | None, width: int) -> int:
@@ -114,19 +155,16 @@ def load_csv_with_names(
     """Parse a rectangular numeric CSV into a dataset.
 
     Returns the dataset, the feature column names (positional ``x{i}`` names
-    when the file has no header), and the resolved target column name. The
-    table is converted in one numpy call; a ragged row or a non-numeric or
-    non-finite cell raises ``DataError`` naming the first one in row order,
-    and only then are the cells parsed one by one, to word that error.
+    when the file has no header), and the resolved target column name. A
+    ragged row or a non-numeric or non-finite cell raises ``DataError``
+    naming the first one in row order.
     """
-    rows, names, first_line = _read_table(path, header)
-    width = len(names) if names is not None else len(rows[0])
+    matrix, names = _load_table(path, header)
+    width = matrix.shape[1]
     if width < 2:
         raise DataError("need at least one feature column and one target column")
 
     target_index = _resolve_target(target_column, names, width)
-    matrix = _parse_matrix(rows, names, first_line)
-
     targets = matrix[:, target_index]
     features = np.delete(matrix, target_index, axis=1)
 
@@ -141,7 +179,6 @@ def load_csv_with_names(
 
 def load_feature_matrix(path: str, header: bool = True) -> tuple[np.ndarray, list[str]]:
     """Parse a features-only CSV (no target column) into a matrix."""
-    rows, names, first_line = _read_table(path, header)
-    matrix = _parse_matrix(rows, names, first_line)
+    matrix, names = _load_table(path, header)
     feature_names = names if names is not None else [f"x{j}" for j in range(matrix.shape[1])]
     return matrix, feature_names

@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ from rulemix import (
     load_feature_matrix,
 )
 from rulemix.io.config import load_config, parse_config_text
-from rulemix.io.dataio import _parse_cells, _parse_matrix, _read_table
+from rulemix.io import dataio
+from rulemix.io.dataio import _parse_cells, _parse_plain
 
 
 def write(tmp_path, name, text):
@@ -32,6 +35,25 @@ def outcome(parse, *args):
     except DataError as exc:
         return "error", str(exc)
     return matrix.shape, matrix.tobytes()
+
+
+def csv_outcome(path, header):
+    """What a loader must give: the decoded file's ``csv.reader`` rows
+    through the per-cell parse, as an ``outcome``."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return "error", f"cannot read {path}: {exc}"
+    names = None
+    if header:
+        if not rows:
+            return "error", f"{path} is empty; expected a header row"
+        names = [cell.strip() for cell in rows.pop(0)]
+    if not rows:
+        return "error", f"{path} contains no data rows"
+    width = len(names) if names is not None else len(rows[0])
+    return outcome(_parse_cells, rows, names, 2 if header else 1, width)
 
 
 class TestLoadCsv:
@@ -118,6 +140,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv_with_names(str(tmp_path / "absent.csv"), "y")
 
+    def test_decode_error_names_the_byte_offset_in_the_file(self, tmp_path):
+        # Past the first 8 KiB, so a chunked decode would name another offset.
+        path = tmp_path / "d.csv"
+        head = b"\xef\xbb\xbfx,y\n" + b"0.25,1.5\n" * 2_500
+        path.write_bytes(head + b"\xff,2\n")
+        with pytest.raises(DataError, match=f"can't decode byte 0xff in position {len(head)}:"):
+            load_csv_with_names(str(path), "y")
+
     def test_constant_target_loads(self, tmp_path):
         # Only training refuses a constant target; a labelled file to score may have one.
         path = write(tmp_path, "d.csv", "x,y\n0,3\n1,3\n2,3\n")
@@ -163,12 +193,15 @@ class TestLoadFeatureMatrix:
         assert names == ["x0", "x1"]
 
 
-# Pieces of CSV-like input: numbers and separators, quoting, both line
-# endings, a BOM, bytes that are not UTF-8, NUL, non-finite words, and runs
-# long enough to pass Python's 131,072-character csv field limit.
+# Pieces of CSV-like input: numbers and separators, quoting, every line
+# ending and blank lines, a BOM, bytes that are not UTF-8, NUL, a comment
+# mark, tab, no-break space and a separator numpy strips as whitespace, a
+# numeral only ``float`` takes, non-finite words, and runs long enough to
+# pass Python's 131,072-character csv field limit.
 CSV_PIECES = st.sampled_from(
-    [b"0", b"1", b"-2.5", b"1e400", b",", b'"', b"\r\n", b"\n", b"\xef\xbb\xbf", b"\xff", b"\x00",
-     b"nan", b"inf", b"1e200", b"1e-200", b"x", b" ", b"7" * 40, b"," * 12, b"1" * 131_073]
+    [b"0", b"1", b"-2.5", b"1e400", b",", b'"', b"\r\n", b"\n", b"\r", b"\n\n", b"\xef\xbb\xbf", b"\xff",
+     b"\x00", b"#", b"\t", b"1_0", b"\xc2\xa0", b"\x1c", b"nan", b"inf", b"1e200", b"1e-200", b"x", b" ", b"7" * 40,
+     b"," * 12, b"1" * 131_073]
 )
 
 
@@ -190,57 +223,103 @@ class TestMalformedCsv:
             pass
         else:
             assert matrix.ndim == 2 and np.isfinite(matrix).all()
-        # The loader gives what the per-cell loop gives on the same rows.
-        loaded = outcome(lambda: load_feature_matrix(str(path), header=header)[0])
+        # Both loaders give what csv.reader and the per-cell loop give.
+        expected = csv_outcome(path, header)
+        assert outcome(lambda: load_feature_matrix(str(path), header=header)[0]) == expected
         try:
-            rows, names, first_line = _read_table(str(path), header)
+            dataset, _, _ = load_csv_with_names(str(path), 0, header=header)
         except DataError as exc:
-            assert loaded == ("error", str(exc))
+            if expected[0] != "error":
+                assert expected[0][1] < 2
+                expected = "error", "need at least one feature column and one target column"
+            assert str(exc) == expected[1]
         else:
-            width = len(names) if names is not None else len(rows[0])
-            assert loaded == outcome(_parse_cells, rows, names, first_line, width)
+            matrix = np.column_stack([dataset.targets, dataset.features])
+            assert (matrix.shape, matrix.tobytes()) == expected
 
 
-# Cell texts for the bulk path: numerals, spellings ``float`` accepts that
-# look unlike one, non-finite and out-of-range literals, and any text.
+# Cell texts: numerals as ``repr``, ``%g`` and ``%e`` write them, spellings
+# ``float`` accepts that look unlike one, non-finite and out-of-range
+# literals, whitespace of every kind, and any text.
 CELL_TEXTS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["0", "-0", "1_0", " 1.5 ", "\u0661\u0662", "nan", "inf", "1e400", "1e-400", "", "abc"]),
+    st.floats().map(repr),
+    st.floats().map("{:g}".format),
+    st.floats().map("{:e}".format),
+    st.sampled_from(["0", "-0", "1_0", " 1.5 ", "\x1c1\x1f", "\u0661\u0662", "nan", "-inf", "1e400", "1e-400", "abc"]),
+    st.text(alphabet="0123456789_.eE+- \t\x0b\x0c\x1c\x00\xa0\u2009infatyINFATY\u0661\uff11", max_size=12),
     st.text(max_size=6),
 )
 
 
-@st.composite
-def cell_tables(draw):
-    """Rows of cell texts, some one cell short or long, and header names or ``None``."""
-    width = draw(st.integers(1, 4))
-    rows = [
-        draw(st.lists(CELL_TEXTS, min_size=size, max_size=size))
-        for size in draw(st.lists(st.sampled_from([width] * 6 + [width - 1, width + 1]), min_size=1, max_size=6))
-    ]
-    names = [f"c{j}" for j in range(width)] if draw(st.booleans()) else None
-    return rows, names
+class TestPlainTables:
+    @settings(max_examples=600, deadline=None)
+    @given(CELL_TEXTS.filter(lambda text: not set(text) & set(',"\r\n')))
+    def test_bulk_parse_accepts_a_cell_only_as_float_does(self, text):
+        # The bulk path rests on this: a cell numpy's text reader accepts,
+        # ``float()`` accepts too, with the same bits.
+        parsed = _parse_plain(text, 1)
+        if parsed is not None:
+            assert parsed.tobytes() == np.float64(float(text)).tobytes()
 
+    @pytest.fixture
+    def cell_loop_refused(self, monkeypatch):
+        class CellLoopReached(Exception):
+            pass
 
-class TestBulkParse:
-    @settings(max_examples=400, deadline=None)
-    @given(cell_tables())
-    def test_bulk_parse_matches_per_cell_parse(self, table):
-        rows, names = table
-        width = len(names) if names is not None else len(rows[0])
-        assert outcome(_parse_matrix, rows, names, 2) == outcome(_parse_cells, rows, names, 2, width)
+        def refuse(*args):
+            raise CellLoopReached
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(st.text(), st.text(alphabet="0123456789_.eE+- \t\x0binfatyINFATY\u0661\uff11"), CELL_TEXTS))
-    def test_numpy_converts_a_str_exactly_as_float_does(self, text):
-        # The bulk path rests on this: numpy turns a str into a float with ``float()``.
-        try:
-            expected = float(text)
-        except ValueError:
-            with pytest.raises(ValueError):
-                np.fromiter([text], float, 1)
-        else:
-            assert np.fromiter([text], float, 1).tobytes() == np.float64(expected).tobytes()
+        monkeypatch.setattr(dataio, "_parse_cells", refuse)
+        return CellLoopReached
+
+    @pytest.mark.parametrize(
+        "content, header",
+        [
+            (b"x,y\n0,1.5\n-2,3e-5\n", True),
+            (b"x,y\r\n0,1.5\r\n-2,3e-5", True),
+            (b'"x","y"\n0,1.5\n-2,3e-5\n', True),
+            (b"0,1.5\n-2,3e-5\n", False),
+        ],
+        ids=["lf", "crlf", "quoted-header", "no-header"],
+    )
+    def test_plain_tables_load_in_bulk(self, tmp_path, cell_loop_refused, content, header):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        X, _ = load_feature_matrix(str(path), header=header)
+        np.testing.assert_array_equal(X, [[0.0, 1.5], [-2.0, 3e-5]])
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'x,y\n"0",1.5\n',
+            b"x,y\n0,1.5\r-2,3\n",
+            b"x,y\n0,1.5\n\n",
+            b"x,y\n1_0,1.5\n",
+            b"x,y\n0\x1c,1.5\n",
+            b'"x\ny",z\n0,1\n',
+        ],
+        ids=["quoted-cell", "bare-cr", "blank-line", "underscore", "separator-space", "two-line-header"],
+    )
+    def test_other_tables_reach_the_cell_loop(self, tmp_path, cell_loop_refused, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(cell_loop_refused):
+            load_feature_matrix(str(path))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # csv reads the rest of the file into the header's one cell.
+            (b'"x\n0\n1\n', "contains no data rows"),
+            (b"x,y\n" + b"0" * 131_073 + b",1\n", "field larger than field limit"),
+        ],
+        ids=["header-quote-open-to-the-end", "oversized-finite-cell"],
+    )
+    def test_csv_errors_outrank_the_bulk_parse(self, tmp_path, content, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            load_feature_matrix(str(path))
 
 
 class TestValueRange:
