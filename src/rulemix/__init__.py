@@ -14,7 +14,6 @@ from .composition import (
     crossover_npoint,
     evaluate_candidate,
     mutate_bits,
-    pad_genome,
     rank_positions,
     tournament_select,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "load_model",
     "mixing_weight",
     "mutate_bits",
-    "pad_genome",
     "pseudo_accuracy",
     "rank_positions",
     "rule_fitness",

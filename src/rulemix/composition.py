@@ -4,7 +4,7 @@ small, accurate subset of the rule pool."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,10 +48,11 @@ def evaluate_candidate(
     data: Dataset,
     params: CompositionParams,
     table: RulePredictionTable,
-) -> list[SolutionCandidate]:
-    """Score each row of the (genomes x rules) stack ``genomes``: in-sample
-    MSE of its mixed prediction over the full training set, complexity, and
-    the combined candidate fitness.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(mse, complexity, fitness)`` arrays of the (genomes x rules)
+    stack ``genomes``: each row's in-sample MSE of its mixed prediction over
+    the full training set, its rule count, and its :func:`candidate_fitness`,
+    one scalar call per row (``np.exp`` would move the last bit).
 
     ``table`` holds the per-rule masks and predictions of ``pool`` over
     ``data.features``. The stack is mixed ``PRODUCT_FLOATS // n`` genomes
@@ -62,32 +63,24 @@ def evaluate_candidate(
     if genomes.ndim != 2 or genomes.shape[1] != len(pool):
         raise ValueError(f"genome stack {genomes.shape} does not match pool size {len(pool)}")
     step = max(2, PRODUCT_FLOATS // data.n_samples)
-    mses = []
+    mse = np.empty(genomes.shape[0])
     for start in range(0, genomes.shape[0], step):
         errors = table.mixed(genomes[start : start + step], data.target_mean)
         np.subtract(data.targets, errors, out=errors)
         np.square(errors, out=errors)
-        mses.extend(np.mean(errors, axis=1).tolist())
-    candidates = []
-    for genome, mse, complexity in zip(genomes, mses, genomes.sum(axis=1).tolist()):
-        fitness = candidate_fitness(mse, complexity, len(pool), params.fitness)
-        candidates.append(SolutionCandidate(genome, mse, complexity, fitness))
-    return candidates
+        mse[start : start + step] = np.mean(errors, axis=1)
+    complexity = genomes.sum(axis=1)
+    fitness = [candidate_fitness(m, c, len(pool), params.fitness) for m, c in zip(mse.tolist(), complexity.tolist())]
+    return mse, complexity, np.array(fitness)
 
 
-def _rank(candidate: SolutionCandidate) -> tuple[float, int]:
-    """The GA's one order: higher fitness first, then fewer rules. ``min`` and
-    the stable ``sorted`` keep the first seen of equals."""
-    return (-candidate.cached_fitness, candidate.cached_complexity)
-
-
-def rank_positions(population: Sequence[SolutionCandidate]) -> np.ndarray:
+def rank_positions(fitness: np.ndarray, complexity: np.ndarray) -> np.ndarray:
     """Each member's place in the GA's one order: higher fitness, then fewer
-    rules, then the earlier population index. Places are distinct, so
-    comparing them settles every tie."""
-    order = sorted(range(len(population)), key=lambda index: _rank(population[index]))
-    positions = np.empty(len(population), dtype=np.intp)
-    positions[order] = np.arange(len(population))
+    rules, then the earlier index (the sort is stable). Places are distinct,
+    so comparing them settles every tie."""
+    order = np.lexsort((complexity, -np.asarray(fitness)))
+    positions = np.empty(len(order), dtype=np.intp)
+    positions[order] = np.arange(len(order))
     return positions
 
 
@@ -140,40 +133,33 @@ def mutate_bits(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np
     return genome ^ (rng.random(genome.shape[0]) < rate)
 
 
-def pad_genome(genome: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad a genome up to ``size`` so it references a grown pool."""
-    genome = np.asarray(genome, dtype=bool)
-    if size < genome.shape[0]:
-        raise ValueError("pools never shrink; cannot pad to a smaller size")
-    padded = np.zeros(size, dtype=bool)
-    padded[: genome.shape[0]] = genome
-    return padded
-
-
 def compose(
     pool: Pool,
     data: Dataset,
     params: CompositionParams,
     rng: np.random.Generator,
-    warm_population: Optional[Sequence[SolutionCandidate]] = None,
-) -> tuple[SolutionCandidate, list[SolutionCandidate]]:
+    warm_genomes: Optional[np.ndarray] = None,
+) -> tuple[SolutionCandidate, np.ndarray]:
     """Evolve subset selections over the pool and return the best candidate
-    ever evaluated plus the final population.
+    ever evaluated plus the final (population x rules) genome array.
 
-    A warm-start population is carried over by zero-padding each genome to
-    the current pool size; random genomes fill any remaining places. Each
+    The rows of ``warm_genomes`` (the final genomes of an earlier phase) are
+    carried over, zero-padded to the current pool size and cut to
+    ``population_size``; random genomes fill any remaining rows. Each
     generation is bred in full, then scored: the top ``elitists`` carry over
     unchanged, and tournament selection, crossover and bit-flip mutation
     breed the rest from the previous population. Every pick uses one order:
     higher fitness, then fewer rules, then first seen. The previous
-    population is sorted by it once per generation, and tournaments compare
+    population is ranked by it once per generation, and tournaments compare
     the resulting places. Rules themselves are never touched.
 
-    Each distinct genome is scored once per call, so once per phase: a
-    repeat gets the candidate of its first evaluation, which is exact because
-    scoring draws nothing. A generation's genomes not scored before go to
-    :func:`evaluate_candidate` as one stack. The memo lives only for this
-    call, since the pool grows between phases.
+    Each distinct genome is scored once per call, so once per phase: a memo
+    maps its bytes to its ``(mse, complexity, fitness)``, which is exact
+    because scoring draws nothing. A generation's genomes not scored before
+    go to :func:`evaluate_candidate` as one stack, and the population's
+    scores are gathered from the memo. The memo lives only for this call,
+    since the pool grows between phases. It holds every genome scored, in
+    first-seen order, so the best is its entry placed first by the one order.
     """
     n = len(pool)
     if n == 0:
@@ -181,39 +167,44 @@ def compose(
     table = RulePredictionTable.build(pool.rules, data.features)
     size = params.population_size
     n_children = size - params.elitists
-    scored: dict[bytes, SolutionCandidate] = {}
+    scored: dict[bytes, tuple[float, int, float]] = {}
 
-    def score(genomes: list[np.ndarray]) -> list[SolutionCandidate]:
+    def score(genomes: np.ndarray) -> list[np.ndarray]:
         keys = [genome.tobytes() for genome in genomes]
-        new = {key: genome for key, genome in zip(keys, genomes) if key not in scored}
+        new = {key: row for row, key in enumerate(keys) if key not in scored}
         if new:
-            candidates = evaluate_candidate(np.array(list(new.values())), pool, data, params, table)
-            scored.update(zip(new, candidates))
-        return [scored[key] for key in keys]
+            scores = evaluate_candidate(genomes[list(new.values())], pool, data, params, table)
+            scored.update(zip(new, zip(*(column.tolist() for column in scores))))
+        return [np.array(column) for column in zip(*(scored[key] for key in keys))]
 
-    genomes = [pad_genome(candidate.genome, n) for candidate in warm_population or ()][:size]
-    genomes += [rng.random(n) < 0.5 for _ in range(size - len(genomes))]
-    population = score(genomes)
-    best = min(population, key=_rank)
+    warm = np.zeros((0, n), dtype=bool) if warm_genomes is None else np.asarray(warm_genomes, dtype=bool)[:size]
+    if warm.shape[1] > n:
+        raise ValueError(f"warm genomes over {warm.shape[1]} rules do not fit a pool of {n}; pools never shrink")
+    genomes = np.zeros((size, n), dtype=bool)
+    genomes[: len(warm), : warm.shape[1]] = warm
+    genomes[len(warm) :] = rng.random((size - len(warm), n)) < 0.5
+    _, complexity, fitness = score(genomes)
 
     # A 1-bit genome admits no cut position; crossover degrades to copying.
     cut_points = min(params.crossover_points, n - 1)
 
     for _ in range(params.generations_per_phase):
-        positions = rank_positions(population)
-        genomes = []
-        while len(genomes) < n_children:
-            parent1 = population[tournament_select(positions, params.tournament_k, rng)].genome
-            parent2 = population[tournament_select(positions, params.tournament_k, rng)].genome
+        positions = rank_positions(fitness, complexity)
+        children = []
+        while len(children) < n_children:
+            parent1 = genomes[tournament_select(positions, params.tournament_k, rng)]
+            parent2 = genomes[tournament_select(positions, params.tournament_k, rng)]
             if cut_points >= 1:
                 pair = crossover_npoint(parent1, parent2, cut_points, params.crossover_prob, rng)
             else:
                 pair = (parent1, parent2)
             # With one place left, the second child is dropped unmutated.
-            for genome in pair[: n_children - len(genomes)]:
-                genomes.append(mutate_bits(genome, params.mutation_rate, rng))
-        children = score(genomes)
-        best = min([best, *children], key=_rank)
+            for genome in pair[: n_children - len(children)]:
+                children.append(mutate_bits(genome, params.mutation_rate, rng))
         elitists = np.argsort(positions)[: params.elitists]
-        population = [population[index] for index in elitists] + children
-    return best, population
+        genomes = np.vstack([genomes[elitists], *children])
+        _, complexity, fitness = score(genomes)
+
+    _, complexity, fitness = (np.array(column) for column in zip(*scored.values()))
+    key = list(scored)[np.argmin(rank_positions(fitness, complexity))]
+    return SolutionCandidate(np.frombuffer(key, dtype=bool), *scored[key]), genomes

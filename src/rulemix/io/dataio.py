@@ -34,9 +34,10 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _parse_plain(body: str, width: int | None) -> np.ndarray | None:
-    """``body`` parsed by numpy's C text reader, or ``None`` when it is not
-    plain or the reader refuses it.
+def _parse_plain(text: str, start: int, width: int | None) -> np.ndarray | None:
+    """The body ``text[start:]`` parsed by numpy's C text reader, or ``None``
+    when it is not plain or the reader refuses it. ``start`` is 0 or just
+    past the ``\n`` that ends the first line; the body is never copied out.
 
     A plain body has none of ``_NOT_PLAIN``, ends its lines only with ``\\n``
     or ``\\r\\n``, and has no blank line and no line longer than the csv field
@@ -46,9 +47,13 @@ def _parse_plain(body: str, width: int | None) -> np.ndarray | None:
     bits; the cells it refuses that ``float()`` takes (``1_0``, non-ASCII
     digits) go to the per-cell loop.
     """
-    if any(char in body for char in _NOT_PLAIN) or ("\r" in body and body.count("\r") != body.count("\r\n")):
+    if any(text.find(char, start) >= 0 for char in _NOT_PLAIN):
         return None
-    lines = body.split("\n")
+    if text.find("\r", start) >= 0 and text.count("\r", start) != text.count("\r\n", start):
+        return None
+    lines = text.split("\n")
+    if start:
+        del lines[0]
     if lines[-1] == "":
         lines.pop()
     # numpy skips a blank line (and warns when all are blank), where csv
@@ -104,21 +109,22 @@ def _load_table(path: str, header: bool) -> tuple[np.ndarray, list[str] | None]:
     The header is split by ``csv.reader``. A plain body goes through
     ``_parse_plain`` in bulk; any other body, or one it refuses, is split by
     ``csv.reader`` and parsed by ``_parse_cells``, which words the first
-    problem in row order.
+    problem in row order. So does the body after a header that spans lines
+    or ends in a bare ``\r``.
     """
     text = _read_text(path)
     reader = csv.reader(line[0] for line in _LINE.finditer(text))
     names: list[str] | None = None
     try:
-        body: str | None = text
+        start: int | None = 0
         if header:
             row = next(reader, None)
             if row is None:
                 raise DataError(f"{path} is empty; expected a header row")
             names = [cell.strip() for cell in row]
-            # A header whose quoted cell spans lines leaves the body to csv.
-            body = text[_LINE.match(text).end():] if reader.line_num == 1 else None
-        matrix = None if body is None else _parse_plain(body, None if names is None else len(names))
+            end = _LINE.match(text).end()
+            start = end if reader.line_num == 1 and text[end - 1] == "\n" else None
+        matrix = None if start is None else _parse_plain(text, start, None if names is None else len(names))
         if matrix is None:
             rows = list(reader)
             if not rows:

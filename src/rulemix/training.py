@@ -4,7 +4,7 @@ the resulting model with prediction and scoring."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -140,13 +140,13 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     pool = Pool()
     residuals = data.targets - data.target_mean
 
-    population: Optional[Sequence[SolutionCandidate]] = None
+    genomes: Optional[np.ndarray] = None
     history: list[PhaseMetrics] = []
     stalled_phases = 0
 
     for phase in range(1, config.n_phases + 1):
         pool.extend(discover_rules(data, residuals, config.discovery, rng))
-        best, population = compose(pool, data, config.composition, rng, population)
+        best, genomes = compose(pool, data, config.composition, rng, genomes)
         residuals = solution_residuals(best, pool, data)
         history.append(
             PhaseMetrics(phase, len(pool), best.cached_mse, best.cached_complexity, best.cached_fitness)

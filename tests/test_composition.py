@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulemix.composition
@@ -19,7 +19,6 @@ from rulemix import (
     fit_rule,
     initial_condition,
     mutate_bits,
-    pad_genome,
     rank_positions,
     tournament_select,
 )
@@ -40,11 +39,24 @@ def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> 
     return Pool(rules)
 
 
+def candidates(genomes, scores):
+    """One ``SolutionCandidate`` per genome row, from its
+    ``evaluate_candidate`` scores."""
+    return [SolutionCandidate(genome, *row) for genome, *row in zip(genomes, *scores)]
+
+
 def evaluate(genome, pool, data, params):
     """``evaluate_candidate`` of one genome, with a table built for this pool
     and dataset."""
     table = RulePredictionTable.build(pool.rules, data.features)
-    return evaluate_candidate(np.asarray(genome, dtype=bool)[None], pool, data, params, table)[0]
+    genomes = np.asarray(genome, dtype=bool)[None]
+    return candidates(genomes, evaluate_candidate(genomes, pool, data, params, table))[0]
+
+
+def padded(genomes, n):
+    """The (genomes x rules) rows zero-padded to ``n`` rules."""
+    genomes = np.asarray(genomes, dtype=bool)
+    return np.hstack([genomes, np.zeros((len(genomes), n - genomes.shape[1]), dtype=bool)])
 
 
 def enumerate_best(pool, data, params):
@@ -104,11 +116,11 @@ class TestEvaluateCandidate:
         params = CompositionParams()
         table = RulePredictionTable.build(pool.rules, square_dataset.features)
         genomes = np.random.default_rng(4).random((7, 6)) < 0.5
-        whole = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        whole = candidates(genomes, evaluate_candidate(genomes, pool, square_dataset, params, table))
         monkeypatch.setattr(rulemix.composition, "PRODUCT_FLOATS", chunk_rows * square_dataset.n_samples)
         batches, mixed = [], table.mixed
         monkeypatch.setattr(table, "mixed", lambda stack, default: batches.append(len(stack)) or mixed(stack, default))
-        chunked = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        chunked = candidates(genomes, evaluate_candidate(genomes, pool, square_dataset, params, table))
         assert batches == ([3, 3, 1] if chunk_rows == 3 else [2, 2, 2, 1])
         assert [summary(c) for c in chunked] == [summary(c) for c in whole]
         assert [summary(c) for c in whole] == [summary(evaluate(g, pool, square_dataset, params)) for g in genomes]
@@ -125,8 +137,13 @@ class TestTournamentSelect:
         return population
 
     @staticmethod
-    def select(population, k, rng):
-        return population[tournament_select(rank_positions(population), k, rng)]
+    def ranks(population):
+        fitness = np.array([candidate.cached_fitness for candidate in population])
+        complexity = np.array([candidate.cached_complexity for candidate in population])
+        return rank_positions(fitness, complexity)
+
+    def select(self, population, k, rng):
+        return population[tournament_select(self.ranks(population), k, rng)]
 
     def test_k_one_is_uniform(self):
         population = self._population([0.9, 0.1])
@@ -148,7 +165,7 @@ class TestTournamentSelect:
 
     def test_ties_prefer_lower_complexity(self):
         population = self._population([0.5, 0.5, 0.5], complexities=[3, 1, 2])
-        assert rank_positions(population).tolist() == [2, 0, 1]
+        assert self.ranks(population).tolist() == [2, 0, 1]
         rng = np.random.default_rng(2)
         winner = self.select(population, len(population) * 20, rng)
         assert winner.cached_complexity == 1
@@ -157,7 +174,7 @@ class TestTournamentSelect:
         # Equal fitness and complexity: the lowest drawn population index wins,
         # whatever order the draws came in.
         population = self._population([0.5] * 4, complexities=[2] * 4)
-        assert rank_positions(population).tolist() == [0, 1, 2, 3]
+        assert self.ranks(population).tolist() == [0, 1, 2, 3]
         for seed in range(20):
             draws = np.random.default_rng(seed).integers(0, 4, size=3)
             winner = self.select(population, 3, np.random.default_rng(seed))
@@ -166,13 +183,13 @@ class TestTournamentSelect:
     def test_positions_follow_fitness_then_complexity_then_index(self):
         population = self._population([0.2, 0.9, 0.5, 0.9, 0.5], complexities=[1, 3, 2, 2, 2])
         # Order: index 3 (0.9, 2), 1 (0.9, 3), 2 (0.5, 2), 4 (0.5, 2), 0 (0.2, 1).
-        assert rank_positions(population).tolist() == [4, 1, 2, 0, 3]
+        assert self.ranks(population).tolist() == [4, 1, 2, 0, 3]
 
     def test_winner_is_the_drawn_member_placed_first(self):
         # Oracle: the explicit (-fitness, complexity, index) minimum over the draws.
         rng = np.random.default_rng(3)
         population = self._population(rng.integers(0, 3, size=9) / 4, complexities=list(rng.integers(0, 4, size=9)))
-        positions = rank_positions(population)
+        positions = self.ranks(population)
         for seed in range(50):
             draws = np.random.default_rng(seed).integers(0, 9, size=4)
             expected = min(
@@ -183,6 +200,24 @@ class TestTournamentSelect:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             tournament_select(np.empty(0, dtype=np.intp), 1, np.random.default_rng(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 3)),
+        max_size=40,
+    )
+)
+def test_rank_positions_match_the_explicit_sort(members):
+    # Oracle: the places of the explicit (-fitness, complexity, index) sort;
+    # four fitness values and four complexities give many full ties.
+    fitness = np.array([f for f, _ in members], dtype=float)
+    complexity = np.array([c for _, c in members], dtype=np.intp)
+    order = sorted(range(len(members)), key=lambda i: (-members[i][0], members[i][1], i))
+    expected = np.empty(len(members), dtype=np.intp)
+    expected[order] = np.arange(len(members))
+    assert rank_positions(fitness, complexity).tolist() == expected.tolist()
 
 
 class TestCrossover:
@@ -263,13 +298,6 @@ class TestMutateBits:
             mutate_bits(np.zeros(3, bool), 1.5, np.random.default_rng(0))
 
 
-def test_pad_genome_extends_with_zeros():
-    padded = pad_genome(np.array([1, 0, 1], dtype=bool), 5)
-    assert np.array_equal(padded, [1, 0, 1, 0, 0])
-    with pytest.raises(ValueError):
-        pad_genome(np.ones(5, dtype=bool), 3)
-
-
 class TestCompose:
     def test_single_rule_pool_matches_two_genome_enumeration(self):
         # Oracle: evaluate both possible genomes directly.
@@ -293,27 +321,26 @@ class TestCompose:
     def test_population_genomes_track_pool_size(self, square_dataset):
         pool = build_pool(square_dataset, 5, seed=1)
         params = CompositionParams(population_size=12, generations_per_phase=5)
-        best, population = compose(pool, square_dataset, params, np.random.default_rng(1))
-        assert len(population) == 12
-        assert all(candidate.genome.shape == (5,) for candidate in population)
+        best, genomes = compose(pool, square_dataset, params, np.random.default_rng(1))
+        assert genomes.shape == (12, 5) and genomes.dtype == bool
         assert best.genome.shape == (5,)
 
     def test_warm_start_never_regresses(self, square_dataset):
         pool = build_pool(square_dataset, 6, seed=2)
         params = CompositionParams(population_size=16, generations_per_phase=8, elitists=2)
         rng = np.random.default_rng(9)
-        best1, population = compose(pool, square_dataset, params, rng)
-        best2, _ = compose(pool, square_dataset, params, rng, warm_population=population)
+        best1, genomes = compose(pool, square_dataset, params, rng)
+        best2, _ = compose(pool, square_dataset, params, rng, warm_genomes=genomes)
         assert best2.cached_fitness >= best1.cached_fitness
 
     def test_warm_start_pads_for_pool_growth(self, square_dataset):
         pool = build_pool(square_dataset, 4, seed=4)
         params = CompositionParams(population_size=10, generations_per_phase=4)
         rng = np.random.default_rng(3)
-        _, population = compose(pool, square_dataset, params, rng)
+        _, genomes = compose(pool, square_dataset, params, rng)
         pool.extend(build_pool(square_dataset, 2, seed=8).rules)
-        best, new_population = compose(pool, square_dataset, params, rng, population)
-        assert all(candidate.genome.shape == (6,) for candidate in new_population)
+        best, new_genomes = compose(pool, square_dataset, params, rng, genomes)
+        assert new_genomes.shape == (10, 6)
         assert best.genome.shape == (6,)
 
     def test_pool_and_rules_untouched(self, square_dataset):
@@ -325,8 +352,10 @@ class TestCompose:
     def test_best_is_at_least_final_population_max(self, square_dataset):
         pool = build_pool(square_dataset, 6, seed=7)
         params = CompositionParams(population_size=14, generations_per_phase=10)
-        best, population = compose(pool, square_dataset, params, np.random.default_rng(4))
-        assert best.cached_fitness >= max(c.cached_fitness for c in population)
+        best, genomes = compose(pool, square_dataset, params, np.random.default_rng(4))
+        table = RulePredictionTable.build(pool.rules, square_dataset.features)
+        _, _, fitness = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        assert best.cached_fitness >= fitness.max()
 
     def test_empty_pool_rejected(self, square_dataset):
         with pytest.raises(ValueError):
@@ -372,12 +401,72 @@ class TestComposeMemo:
         scored.clear()
         children.clear()
         compose(pool, square_dataset, params, np.random.default_rng(4), warm)
-        padded = {pad_genome(candidate.genome, len(pool)).tobytes() for candidate in warm}
         assert len(scored) == len(set(scored))
-        assert set(scored) == padded | set(children)
+        assert set(scored) == {genome.tobytes() for genome in padded(warm, len(pool))} | set(children)
 
 
-def interleaved_compose(pool, data, params, rng, warm_population=None):
+class TestComposeBest:
+    """The best is the first-scored genome placed first by the one order,
+    over every genome a call scores."""
+
+    @pytest.mark.parametrize("elitists", [0, 2])
+    def test_best_is_the_first_scored_row_placed_first(self, square_dataset, monkeypatch, elitists):
+        # Every rule appears twice, so distinct genomes tie on every score.
+        rules = build_pool(square_dataset, 3, seed=16).rules
+        pool = Pool([*rules, *rules])
+        params = CompositionParams(population_size=10, generations_per_phase=15, elitists=elitists)
+        rows = []
+
+        def recording_evaluate(genomes, *args):
+            scores = evaluate_candidate(genomes, *args)
+            rows.extend(zip((genome.tobytes() for genome in genomes), *(column.tolist() for column in scores)))
+            return scores
+
+        monkeypatch.setattr(rulemix.composition, "evaluate_candidate", recording_evaluate)
+        best, genomes = compose(pool, square_dataset, params, np.random.default_rng(5))
+        first = min(range(len(rows)), key=lambda i: (-rows[i][3], rows[i][2], i))
+        assert summary(best) == rows[first]
+        if elitists == 0:
+            # Without elitists the best can be bred out of the final population.
+            assert best.genome.tobytes() not in {genome.tobytes() for genome in genomes}
+
+
+class TestWarmStart:
+    """Warm rows are carried over first, cut to the population size and
+    zero-padded to the pool; random rows fill the rest."""
+
+    params = CompositionParams(population_size=6, generations_per_phase=2)
+
+    def test_wider_warm_genomes_rejected(self, square_dataset):
+        pool = build_pool(square_dataset, 3, seed=4)
+        with pytest.raises(ValueError, match="pools never shrink"):
+            compose(pool, square_dataset, self.params, np.random.default_rng(0), np.zeros((2, 4), dtype=bool))
+
+    def test_rows_beyond_the_population_are_dropped(self, square_dataset, monkeypatch):
+        # Eight distinct warm rows for six places: the first six are the
+        # initial population, and the call runs as if given only those.
+        pool = build_pool(square_dataset, 5, seed=4)
+        warm = np.array([[(i >> bit) & 1 for bit in range(5)] for i in range(1, 9)], dtype=bool)
+        cut_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+        cut_best, cut_genomes = compose(pool, square_dataset, self.params, cut_rng, warm[:6])
+        scored, _ = TestComposeMemo.spy(monkeypatch)
+        best, genomes = compose(pool, square_dataset, self.params, rng, warm)
+        assert scored[:6] == [genome.tobytes() for genome in warm[:6]]
+        assert summary(best) == summary(cut_best)
+        assert np.array_equal(genomes, cut_genomes)
+        assert rng.bit_generator.state == cut_rng.bit_generator.state
+
+    def test_narrower_rows_are_zero_padded(self, square_dataset, monkeypatch):
+        pool = build_pool(square_dataset, 5, seed=4)
+        warm = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+        scored, _ = TestComposeMemo.spy(monkeypatch)
+        compose(pool, square_dataset, self.params, np.random.default_rng(7), warm)
+        expected = [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], *(np.random.default_rng(7).random((4, 5)) < 0.5)]
+        initial = list(dict.fromkeys(np.array(genome, dtype=bool).tobytes() for genome in expected))
+        assert scored[: len(initial)] == initial
+
+
+def interleaved_compose(pool, data, params, rng, warm_genomes=None):
     """Reference GA loop that scores each child as soon as it is bred and
     picks every winner by explicit comparison: higher fitness, then fewer
     rules, then first seen (the earlier index in a tournament)."""
@@ -399,10 +488,13 @@ def interleaved_compose(pool, data, params, rng, warm_population=None):
                 best_key, winner = key, population[index]
         return winner
 
-    genomes = [] if warm_population is None else [pad_genome(c.genome, n) for c in warm_population][:size]
+    def scored(genome):
+        return candidates(genome[None], evaluate_candidate(genome[None], pool, data, params, table))[0]
+
+    genomes = [] if warm_genomes is None else list(padded(warm_genomes, n))[:size]
     while len(genomes) < size:
         genomes.append(rng.random(n) < 0.5)
-    population = [evaluate_candidate(genome[None], pool, data, params, table)[0] for genome in genomes]
+    population = [scored(genome) for genome in genomes]
     best = population[0]
     for candidate in population[1:]:
         best = better(best, candidate)
@@ -419,7 +511,7 @@ def interleaved_compose(pool, data, params, rng, warm_population=None):
                 pair = (parent1.genome, parent2.genome)
             for genome in pair[: size - len(next_population)]:
                 child = mutate_bits(genome, params.mutation_rate, rng)
-                child = evaluate_candidate(child[None], pool, data, params, table)[0]
+                child = scored(child)
                 next_population.append(child)
                 best = better(best, child)
         population = next_population
@@ -442,12 +534,12 @@ class TestComposeDrawOrder:
         rules = build_pool(data, count, seed=seed).rules
         return Pool([*rules, *rules])
 
-    def check(self, pool, data, params, seed, warm_population=None):
+    def check(self, pool, data, params, seed, warm_genomes=None):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        best, population = compose(pool, data, params, rng, warm_population)
-        expected_best, expected = interleaved_compose(pool, data, params, reference_rng, warm_population)
+        best, genomes = compose(pool, data, params, rng, warm_genomes)
+        expected_best, expected = interleaved_compose(pool, data, params, reference_rng, warm_genomes)
         assert summary(best) == summary(expected_best)
-        assert [summary(c) for c in population] == [summary(c) for c in expected]
+        assert [genome.tobytes() for genome in genomes] == [c.genome.tobytes() for c in expected]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -468,7 +560,7 @@ class TestComposeDrawOrder:
         params = CompositionParams(population_size=10, generations_per_phase=8, elitists=3)
         _, warm = compose(pool, square_dataset, params, np.random.default_rng(1))
         pool.extend(build_pool(square_dataset, 2, seed=13).rules)
-        self.check(pool, square_dataset, params, seed=6, warm_population=warm)
+        self.check(pool, square_dataset, params, seed=6, warm_genomes=warm)
 
     def test_one_child_per_generation(self, square_dataset):
         # Every batch the GA scores is a lone genome, mixed beside a zero row.

@@ -257,7 +257,7 @@ class TestPlainTables:
     def test_bulk_parse_accepts_a_cell_only_as_float_does(self, text):
         # The bulk path rests on this: a cell numpy's text reader accepts,
         # ``float()`` accepts too, with the same bits.
-        parsed = _parse_plain(text, 1)
+        parsed = _parse_plain(text, 0, 1)
         if parsed is not None:
             assert parsed.tobytes() == np.float64(float(text)).tobytes()
 
@@ -293,18 +293,34 @@ class TestPlainTables:
         [
             b'x,y\n"0",1.5\n',
             b"x,y\n0,1.5\r-2,3\n",
+            b"x,y\r0,1.5\n-2,3\n",
             b"x,y\n0,1.5\n\n",
             b"x,y\n1_0,1.5\n",
             b"x,y\n0\x1c,1.5\n",
             b'"x\ny",z\n0,1\n',
         ],
-        ids=["quoted-cell", "bare-cr", "blank-line", "underscore", "separator-space", "two-line-header"],
+        ids=[
+            "quoted-cell",
+            "bare-cr",
+            "bare-cr-header",
+            "blank-line",
+            "underscore",
+            "separator-space",
+            "two-line-header",
+        ],
     )
     def test_other_tables_reach_the_cell_loop(self, tmp_path, cell_loop_refused, content):
         path = tmp_path / "d.csv"
         path.write_bytes(content)
         with pytest.raises(cell_loop_refused):
             load_feature_matrix(str(path))
+
+    def test_bare_cr_header_loads_its_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x,y\r0,1.5\r\n-2,3e-5\n")
+        X, names = load_feature_matrix(str(path))
+        assert names == ["x", "y"]
+        np.testing.assert_array_equal(X, [[0.0, 1.5], [-2.0, 3e-5]])
 
     @pytest.mark.parametrize(
         "content, message",

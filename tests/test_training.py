@@ -106,12 +106,12 @@ class TestFit:
         data = linear_dataset(n=80, seed=6)
         model = fit(data, quick_config(seed=4))
         table = RulePredictionTable.build(model.pool.rules, data.features)
-        (candidate,) = evaluate_candidate(
+        (mse,), (complexity,), (fitness,) = evaluate_candidate(
             model.best.genome[None], model.pool, data, model.config.composition, table
         )
-        assert candidate.cached_mse == model.best.cached_mse
-        assert candidate.cached_complexity == model.best.cached_complexity
-        assert candidate.cached_fitness == model.best.cached_fitness
+        assert mse == model.best.cached_mse
+        assert complexity == model.best.cached_complexity
+        assert fitness == model.best.cached_fitness
 
     def test_final_residual_identity(self):
         data = linear_dataset(n=80, seed=7)
@@ -139,8 +139,8 @@ class TestFit:
         compose = rulemix.training.compose
 
         def flat_compose(*args):
-            best, population = compose(*args)
-            return replace(best, cached_fitness=0.5), population
+            best, genomes = compose(*args)
+            return replace(best, cached_fitness=0.5), genomes
 
         monkeypatch.setattr(rulemix.training, "compose", flat_compose)
         data = linear_dataset(n=80, seed=9, noise=0.0)
