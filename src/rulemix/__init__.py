@@ -39,8 +39,6 @@ from .io import (
 )
 from .model import (
     Dataset,
-    IntervalCondition,
-    LinearSubmodel,
     Pool,
     Rule,
     RuleFitter,
@@ -61,8 +59,6 @@ __all__ = [
     "Dataset",
     "DiscoveryParams",
     "FitnessParams",
-    "IntervalCondition",
-    "LinearSubmodel",
     "Model",
     "ModelFormatError",
     "PhaseMetrics",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fitness import FitnessParams, rule_fitness
-from .model import Dataset, IntervalCondition, LinearSubmodel, Rule, RuleFitter, fit_rule
+from .model import Dataset, Rule, RuleFitter, fit_rule
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def select_seed_example(data: Dataset, residuals: np.ndarray, rng: np.random.Gen
 
 def initial_condition(
     x: np.ndarray, data: Dataset, sigma_init: float, rng: np.random.Generator
-) -> IntervalCondition:
-    """The point box ``[x, x]`` grown once by ``_grown_bounds`` at scale
-    ``sigma_init``. The result always matches ``x``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds of the point box ``[x, x]`` grown once by
+    ``_grown_bounds`` at scale ``sigma_init``. The box always matches ``x``."""
     x = np.asarray(x, dtype=float)
     lowers, uppers = _grown_bounds(x, x, data, sigma_init, rng, 1)
-    return IntervalCondition(lowers[0], uppers[0])
+    return lowers[0], uppers[0]
 
 
 def _grown_bounds(
@@ -117,10 +117,10 @@ def discover_rule(
     # The seed box holds its own row, and children only grow their parent,
     # so every rule this search fits matches at least one example.
     index = select_seed_example(data, residuals, rng)
-    condition = initial_condition(data.features[index], data, params.sigma_init, rng)
-    seed = fit_rule(condition, data, params.ridge_lambda)
+    lower, upper = initial_condition(data.features[index], data, params.sigma_init, rng)
+    seed = fit_rule(lower, upper, data, params.ridge_lambda)
     errors = np.array([seed.in_sample_error])
-    (fitness,) = rule_fitness(errors, condition.lower[None], condition.upper[None], bounds, params.fitness)
+    (fitness,) = rule_fitness(errors, lower[None], upper[None], bounds, params.fitness)
     parent = replace(seed, fitness=fitness)
 
     # Fits all children of an iteration at once.
@@ -130,19 +130,13 @@ def discover_rule(
     for iteration in range(1, params.max_iter + 1):
         # A parent spanning the whole feature box breeds only copies of equal
         # fitness: the stall window can never fire and the best elitist is final.
-        if (
-            np.array_equal(parent.condition.lower, bounds[:, 0])
-            and np.array_equal(parent.condition.upper, bounds[:, 1])
-        ):
+        if np.array_equal(parent.lower, bounds[:, 0]) and np.array_equal(parent.upper, bounds[:, 1]):
             break
-        lowers, uppers = _grown_bounds(
-            parent.condition.lower, parent.condition.upper, data, params.mutation_sigma, rng, params.lambda_
-        )
+        lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, params.mutation_sigma, rng, params.lambda_)
         counts, coefficients, intercepts, errors = fitter.fit(lowers, uppers)
         fitnesses = rule_fitness(errors, lowers, uppers, bounds, params.fitness)
         k = int(np.argmax(fitnesses))
-        box = IntervalCondition(lowers[k], uppers[k])
-        best_child = Rule(box, LinearSubmodel(coefficients[k], intercepts[k]), counts[k], errors[k], fitnesses[k])
+        best_child = Rule(lowers[k], uppers[k], coefficients[k], intercepts[k], counts[k], errors[k], fitnesses[k])
         elitists.append(best_child)
         if best_child.fitness > parent.fitness:
             parent = best_child

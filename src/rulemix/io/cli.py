@@ -170,11 +170,9 @@ def _cmd_inspect(args) -> int:
             f"error={rule.in_sample_error:.6g}"
         )
         for j, name in enumerate(names):
-            print(f"  {name} in [{rule.condition.lower[j]:.6g}, {rule.condition.upper[j]:.6g}]")
-        terms = " + ".join(
-            f"{coefficient:.6g}*{name}" for coefficient, name in zip(rule.submodel.coefficients, names)
-        )
-        print(f"  f(x) = {terms} + {rule.submodel.intercept:.6g}")
+            print(f"  {name} in [{rule.lower[j]:.6g}, {rule.upper[j]:.6g}]")
+        terms = " + ".join(f"{coefficient:.6g}*{name}" for coefficient, name in zip(rule.coefficients, names))
+        print(f"  f(x) = {terms} + {rule.intercept:.6g}")
     for metrics in model.history:
         print(" ".join(_metric(key, value) for key, value in vars(metrics).items()))
     return 0

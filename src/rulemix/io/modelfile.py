@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any
+from dataclasses import fields
+from typing import Any, get_type_hints
 
 import numpy as np
 
 from .config import ConfigError, config_from_flat, config_to_flat
-from ..model import IntervalCondition, LinearSubmodel, Pool, Rule, SolutionCandidate
+from ..model import Pool, Rule, SolutionCandidate
 from ..training import Model, PhaseMetrics
 
 FORMAT_VERSION = 2
@@ -36,34 +37,14 @@ def save_model(model: Model, path: str) -> None:
         "feature_bounds": [[float(lo), float(hi)] for lo, hi in model.feature_bounds],
         "target_column": model.target_column,
         "feature_names": list(model.feature_names) if model.feature_names is not None else None,
-        "rules": [
-            {
-                "lower": rule.condition.lower.tolist(),
-                "upper": rule.condition.upper.tolist(),
-                "coefficients": rule.submodel.coefficients.tolist(),
-                "intercept": rule.submodel.intercept,
-                "experience": rule.experience,
-                "in_sample_error": rule.in_sample_error,
-                "fitness": rule.fitness,
-            }
-            for rule in model.pool
-        ],
+        "rules": [_fields(rule) for rule in model.pool],
         "best": {
             "genome": "".join("1" if bit else "0" for bit in model.best.genome),
             "mse": model.best.cached_mse,
             "complexity": model.best.cached_complexity,
             "fitness": model.best.cached_fitness,
         },
-        "history": [
-            {
-                "phase": entry.phase,
-                "pool_size": entry.pool_size,
-                "mse": entry.mse,
-                "complexity": entry.complexity,
-                "best_fitness": entry.best_fitness,
-            }
-            for entry in model.history
-        ],
+        "history": [_fields(entry) for entry in model.history],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(document, handle, indent=2, allow_nan=False)
@@ -102,6 +83,38 @@ def _float_vector(value: Any, context: str) -> np.ndarray:
     if not isinstance(value, list) or not all(_is_number(v) for v in value):
         raise ModelFormatError(f"{context} must be a list of finite numbers")
     return np.asarray(value, dtype=float)
+
+
+def _vector(mapping: dict[str, Any], key: str, context: str) -> np.ndarray:
+    return _float_vector(_require(mapping, key, context), f"{context}{key!r}")
+
+
+def _schema(record: type) -> tuple[tuple[str, Any], ...]:
+    """The fields of the dataclass ``record`` in declared order, each with
+    the reader of its declared type: vector, number or count."""
+    readers = {np.ndarray: _vector, float: _number, int: _count}
+    types = get_type_hints(record)
+    return tuple((field.name, readers[types[field.name]]) for field in fields(record))
+
+
+# The keys of a rule and of a history entry in the model file.
+_SCHEMAS = {record: _schema(record) for record in (Rule, PhaseMetrics)}
+
+
+def _fields(record: Any) -> dict[str, Any]:
+    """The fields of ``record``, a rule or a history entry, as a JSON object;
+    a vector field as a list."""
+    document = {}
+    for name, read in _SCHEMAS[type(record)]:
+        value = getattr(record, name)
+        document[name] = value.tolist() if read is _vector else value
+    return document
+
+
+def _read(record: type, entry: Any, context: str) -> Any:
+    """A ``record`` from the JSON object ``entry``, each field read by its
+    declared type."""
+    return record(*(read(entry, name, context) for name, read in _SCHEMAS[record]))
 
 
 def _reject_constant(token: str) -> Any:
@@ -151,26 +164,13 @@ def load_model(path: str) -> Model:
         raise ModelFormatError("rules must be a list")
     rules = []
     for k, entry in enumerate(rules_raw):
-        context = f"rule {k} "
-        lower = _float_vector(_require(entry, "lower", context), f"rule {k} lower")
-        upper = _float_vector(_require(entry, "upper", context), f"rule {k} upper")
-        coefficients = _float_vector(
-            _require(entry, "coefficients", context), f"rule {k} coefficients"
-        )
-        if lower.shape != (n_features,) or upper.shape != (n_features,) or coefficients.shape != (n_features,):
-            raise ModelFormatError(f"rule {k} vectors must have length {n_features}")
         try:
-            rules.append(
-                Rule(
-                    IntervalCondition(lower, upper),
-                    LinearSubmodel(coefficients, _number(entry, "intercept", context)),
-                    _count(entry, "experience", context),
-                    _number(entry, "in_sample_error", context),
-                    _number(entry, "fitness", context),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            rule = _read(Rule, entry, f"rule {k} ")
+        except ValueError as exc:
             raise ModelFormatError(f"rule {k} is invalid: {exc}") from exc
+        if rule.lower.shape != (n_features,):
+            raise ModelFormatError(f"rule {k} vectors must have length {n_features}")
+        rules.append(rule)
 
     best_raw = _require(document, "best", "")
     genome_text = _require(best_raw, "genome", "best ")
@@ -194,16 +194,7 @@ def load_model(path: str) -> Model:
     history_raw = _require(document, "history", "")
     if not isinstance(history_raw, list):
         raise ModelFormatError("history must be a list")
-    history = tuple(
-        PhaseMetrics(
-            _count(entry, "phase", "history "),
-            _count(entry, "pool_size", "history "),
-            _number(entry, "mse", "history "),
-            _count(entry, "complexity", "history "),
-            _number(entry, "best_fitness", "history "),
-        )
-        for entry in history_raw
-    )
+    history = tuple(_read(PhaseMetrics, entry, f"history {i} ") for i, entry in enumerate(history_raw))
 
     target_column = document.get("target_column")
     if target_column is not None and not isinstance(target_column, str):

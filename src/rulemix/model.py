@@ -8,6 +8,7 @@ column at a time; and all mixing goes through :meth:`RulePredictionTable.mixed`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -66,33 +67,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalCondition:
-    """Axis-aligned box. An input matches iff it lies inside on every axis,
-    both bounds inclusive."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError(
-                f"bounds must be 1-D vectors of equal length, got {lower.shape} and {upper.shape}"
-            )
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("interval bounds must be finite")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def n_features(self) -> int:
-        return self.lower.shape[0]
-
-
 def match_masks(lowers: np.ndarray, uppers: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """(boxes x rows) mask of the rows each box matches: box ``k`` spans
     ``lowers[k]`` to ``uppers[k]``, both (boxes x d) stacks, over the
@@ -112,50 +86,53 @@ def match_masks(lowers: np.ndarray, uppers: np.ndarray, columns: np.ndarray) -> 
 
 
 @dataclass(frozen=True, eq=False)
-class LinearSubmodel:
-    """Local linear predictor ``intercept + coefficients . x``."""
-
-    coefficients: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        if coefficients.ndim != 1:
-            raise ValueError(f"coefficients must be a vector, got shape {coefficients.shape}")
-        if not np.all(np.isfinite(coefficients)) or not np.isfinite(self.intercept):
-            raise ValueError("submodel parameters must be finite")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "intercept", float(self.intercept))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return X @ self.coefficients + self.intercept
-
-
-@dataclass(frozen=True, eq=False)
 class Rule:
-    """A fitted rule: interval condition, local linear submodel, and the
-    statistics recorded at fit time.
+    """A fitted rule: an axis-aligned box from ``lower`` to ``upper``, the
+    local linear submodel ``intercept + coefficients . x`` fitted on the rows
+    the box matches, and the statistics recorded at fit time. The fields, in
+    order, are the keys of a rule in the model file.
 
-    ``experience`` is the number of training examples the condition matched
-    when the submodel was fitted and ``in_sample_error`` the submodel's MSE on
-    exactly those examples. A rule with experience 0 is degenerate: it carries
-    infinite error, any fitness assigns it 0, and pools refuse it.
+    An input matches iff it lies inside the box on every axis, both bounds
+    inclusive. ``experience`` is the number of training examples the box
+    matched when the submodel was fitted and ``in_sample_error`` the
+    submodel's MSE on exactly those examples. A rule with experience 0 is
+    degenerate: it carries infinite error, any fitness assigns it 0, and
+    pools refuse it.
     """
 
-    condition: IntervalCondition
-    submodel: LinearSubmodel
+    lower: np.ndarray
+    upper: np.ndarray
+    coefficients: np.ndarray
+    intercept: float
     experience: int
     in_sample_error: float
     fitness: float = 0.0
 
     def __post_init__(self):
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        coefficients = np.asarray(self.coefficients, dtype=float)
+        if lower.ndim != 1 or not lower.shape == upper.shape == coefficients.shape:
+            raise ValueError(
+                "lower, upper and coefficients must be 1-D vectors of one length, "
+                f"got shapes {lower.shape}, {upper.shape} and {coefficients.shape}"
+            )
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("interval bounds must be finite")
+        if (lower > upper).any():
+            raise ValueError("lower bound exceeds upper bound")
+        if not (np.isfinite(coefficients).all() and math.isfinite(self.intercept)):
+            raise ValueError("submodel parameters must be finite")
         if self.experience < 0:
             raise ValueError("experience must be non-negative")
-        if self.in_sample_error < 0:
+        if not self.in_sample_error >= 0:
             raise ValueError("in_sample_error must be non-negative")
         if not 0.0 <= self.fitness <= 1.0:
             raise ValueError("fitness must lie in [0, 1]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "intercept", float(self.intercept))
         object.__setattr__(self, "experience", int(self.experience))
         object.__setattr__(self, "in_sample_error", float(self.in_sample_error))
         object.__setattr__(self, "fitness", float(self.fitness))
@@ -315,12 +292,14 @@ def _solve_or_minimum_norm(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-def fit_rule(condition: IntervalCondition, data: Dataset, ridge_lambda: float) -> Rule:
-    """Fit a ridge submodel on the subsample matched by ``condition``: the
-    one-box call of :class:`RuleFitter`; fitness is left at 0."""
-    fits = RuleFitter(data, ridge_lambda).fit(condition.lower[None], condition.upper[None])
+def fit_rule(lower: np.ndarray, upper: np.ndarray, data: Dataset, ridge_lambda: float) -> Rule:
+    """Fit a ridge submodel on the subsample the box from ``lower`` to
+    ``upper`` matches: the one-box call of :class:`RuleFitter`; fitness is
+    left at 0."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    fits = RuleFitter(data, ridge_lambda).fit(lower[None], upper[None])
     (count,), (coefficients,), (intercept,), (error,) = fits
-    return Rule(condition, LinearSubmodel(coefficients, intercept), count, error)
+    return Rule(lower, upper, coefficients, intercept, count, error)
 
 
 class Pool:
@@ -337,6 +316,11 @@ class Pool:
     def append(self, rule: Rule) -> None:
         if rule.is_degenerate:
             raise ValueError("degenerate rules cannot enter the pool")
+        if self._rules and rule.lower.shape != self._rules[0].lower.shape:
+            raise ValueError(
+                f"a rule over {rule.lower.shape[0]} features cannot join a pool of rules "
+                f"over {self._rules[0].lower.shape[0]}"
+            )
         self._rules.append(rule)
 
     def extend(self, rules: Sequence[Rule]) -> None:
@@ -386,7 +370,7 @@ def mixing_weight(rule: Rule) -> float:
 def rule_bounds(rules: Sequence[Rule], d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (rules x width) stacks of the rules' lower and upper bounds;
     (0 x d) stacks when there is no rule."""
-    bounds = np.array([(rule.condition.lower, rule.condition.upper) for rule in rules] or np.empty((0, 2, d)))
+    bounds = np.array([(rule.lower, rule.upper) for rule in rules] or np.empty((0, 2, d)))
     return bounds[:, 0], bounds[:, 1]
 
 
@@ -412,7 +396,7 @@ class RulePredictionTable:
         masks = match_masks(*rule_bounds(rules, X.shape[1]), np.ascontiguousarray(X.T))
         predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
         for k, rule in enumerate(rules):
-            predictions[k] = rule.submodel.predict_batch(X)
+            predictions[k] = X @ rule.coefficients + rule.intercept
         weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
         weighted_masks = weights[:, None] * masks
         predictions *= weighted_masks

@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import rulemix.discovery
 import rulemix.model
-from rulemix import Dataset, IntervalCondition, LinearSubmodel, Rule, mixing_weight
+from rulemix import Dataset, Rule, mixing_weight
 from rulemix.discovery import _grown_bounds
 
 
@@ -26,70 +27,65 @@ def abs_dataset(n=400):
 
 
 def rules_equal(a: Rule, b: Rule) -> bool:
-    return (
-        np.array_equal(a.condition.lower, b.condition.lower)
-        and np.array_equal(a.condition.upper, b.condition.upper)
-        and np.array_equal(a.submodel.coefficients, b.submodel.coefficients)
-        and a.submodel.intercept == b.submodel.intercept
-        and a.experience == b.experience
-        and a.in_sample_error == b.in_sample_error
-        and a.fitness == b.fitness
-    )
+    return all(np.array_equal(getattr(a, field.name), getattr(b, field.name)) for field in fields(Rule))
 
 
-def grow_condition(parent, data, sigma, rng):
-    """One growth-only mutation of ``parent``, as discovery draws it."""
-    lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, sigma, rng, 1)
-    return IntervalCondition(lowers[0], uppers[0])
+def grow_condition(box, data, sigma, rng):
+    """The ``(lower, upper)`` bounds of one growth-only mutation of ``box``,
+    as discovery draws it."""
+    lowers, uppers = _grown_bounds(*box, data, sigma, rng, 1)
+    return lowers[0], uppers[0]
 
 
-def stacked(conditions, d):
-    """The (boxes x d) lower and upper bound stacks of ``conditions``."""
-    lowers = np.array([condition.lower for condition in conditions], dtype=float).reshape(len(conditions), d)
-    uppers = np.array([condition.upper for condition in conditions], dtype=float).reshape(len(conditions), d)
+def stacked(boxes, d):
+    """The (boxes x d) lower and upper bound stacks of the ``(lower, upper)``
+    pairs ``boxes``."""
+    lowers = np.array([lower for lower, _ in boxes], dtype=float).reshape(len(boxes), d)
+    uppers = np.array([upper for _, upper in boxes], dtype=float).reshape(len(boxes), d)
     return lowers, uppers
 
 
-def fit_boxes(fitter, conditions):
-    """One rule per condition from one ``RuleFitter.fit`` call over their
-    bound stacks, in order; fitness is left at 0."""
-    fits = fitter.fit(*stacked(conditions, fitter.data.n_features))
+def fit_boxes(fitter, boxes):
+    """One rule per ``(lower, upper)`` box from one ``RuleFitter.fit`` call
+    over their bound stacks, in order; fitness is left at 0."""
+    fits = fitter.fit(*stacked(boxes, fitter.data.n_features))
     return [
-        Rule(condition, LinearSubmodel(coefficients, intercept), count, error)
-        for condition, count, coefficients, intercept, error in zip(conditions, *fits)
+        Rule(lower, upper, coefficients, intercept, count, error)
+        for (lower, upper), count, coefficients, intercept, error in zip(boxes, *fits)
     ]
 
 
 def rig_scorer(monkeypatch, score):
-    """Make discovery score each box by ``score(condition, iteration)``
+    """Make discovery score each box by ``score((lower, upper), iteration)``
     instead of the rule fitness. The iteration is the index of the scorer
     call: 0 for the seed, then one call per iteration for all its children."""
     iterations = itertools.count()
 
     def rigged(errors, lowers, uppers, feature_bounds, params):
         iteration = next(iterations)
-        return np.array([score(IntervalCondition(lower, upper), iteration) for lower, upper in zip(lowers, uppers)])
+        return np.array([score(box, iteration) for box in zip(lowers, uppers)])
 
     monkeypatch.setattr(rulemix.discovery, "rule_fitness", rigged)
 
 
-def match_mask(condition, X):
-    """Plain-numpy oracle for one box: the rows of ``X`` inside ``condition``
-    on every axis, both bounds inclusive."""
+def match_mask(box, X):
+    """Plain-numpy oracle for one ``(lower, upper)`` box: the rows of ``X``
+    inside it on every axis, both bounds inclusive."""
+    lower, upper = (np.asarray(bound, dtype=float) for bound in box)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != condition.n_features:
-        raise ValueError(f"expected matrix with {condition.n_features} columns, got shape {X.shape}")
-    return np.all((condition.lower <= X) & (X <= condition.upper), axis=1)
+    if X.ndim != 2 or X.shape[1] != lower.shape[0]:
+        raise ValueError(f"expected matrix with {lower.shape[0]} columns, got shape {X.shape}")
+    return np.all((lower <= X) & (X <= upper), axis=1)
 
 
-def matches(condition, x):
-    """Whether the single input ``x`` lies in ``condition``'s box."""
-    return bool(match_mask(condition, np.atleast_2d(x))[0])
+def matches(box, x):
+    """Whether the single input ``x`` lies in the ``(lower, upper)`` box."""
+    return bool(match_mask(box, np.atleast_2d(x))[0])
 
 
 def predict_one(rule, x):
     """Submodel prediction at the single input ``x``, matched or not."""
-    return float(rule.submodel.predict_batch(np.atleast_2d(x))[0])
+    return float(rule.intercept + rule.coefficients @ np.asarray(x, dtype=float))
 
 
 def predict_mixed(candidate, pool, x, default):
@@ -101,9 +97,9 @@ def predict_mixed(candidate, pool, x, default):
     denominator = 0.0
     for index in np.flatnonzero(candidate.genome):
         rule = pool[index]
-        if np.all(rule.condition.lower <= x) and np.all(x <= rule.condition.upper):
+        if np.all(rule.lower <= x) and np.all(x <= rule.upper):
             w = mixing_weight(rule)
-            numerator += w * float(rule.submodel.intercept + rule.submodel.coefficients @ x)
+            numerator += w * predict_one(rule, x)
             denominator += w
     if denominator <= 0.0:
         return float(default)
@@ -116,8 +112,8 @@ def mixed_table_oracle(rules, X, selected, default):
     and summed over rules in pool order, so its bits are the reference."""
     X = np.asarray(X, dtype=float)
     selected = np.asarray(selected, dtype=bool)
-    masks = np.array([match_mask(rule.condition, X) for rule in rules]).reshape(len(rules), X.shape[0])
-    predictions = np.array([rule.submodel.predict_batch(X) for rule in rules]).reshape(len(rules), X.shape[0])
+    masks = np.array([match_mask((rule.lower, rule.upper), X) for rule in rules]).reshape(len(rules), X.shape[0])
+    predictions = np.array([X @ rule.coefficients + rule.intercept for rule in rules]).reshape(len(rules), X.shape[0])
     weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
     weighted_masks = weights[selected, None] * masks[selected]
     denominator = weighted_masks.sum(axis=0)
@@ -138,7 +134,7 @@ def rule_fit_oracle(data, lowers, uppers, ridge_lambda):
     (counts, coefficients, intercepts, errors)."""
     X, y = data.features, data.targets
     d = X.shape[1]
-    masks = np.array([match_mask(IntervalCondition(lower, upper), X) for lower, upper in zip(lowers, uppers)])
+    masks = np.array([match_mask(box, X) for box in zip(lowers, uppers)])
     counts = masks.sum(axis=1)
     rows = np.flatnonzero(masks.any(axis=0))
     masks, X, y = np.ascontiguousarray(masks[:, rows]), X[rows], y[rows]

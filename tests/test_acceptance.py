@@ -87,14 +87,13 @@ def test_criterion_03_volume_monotone_under_growth():
             d = int(rng.integers(1, 5))
             X = rng.uniform(-3.0, 3.0, size=(30, d))
             data = rm.Dataset(X, rng.normal(size=30))
-            full = rm.IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-            assert rm.volume_share(full.lower, full.upper, data.feature_bounds) == 1.0
+            assert rm.volume_share(*data.feature_bounds.T, data.feature_bounds) == 1.0
             x = X[int(rng.integers(0, 30))]
             cond = rm.initial_condition(x, data, 0.1, rng)
-            previous = rm.volume_share(cond.lower, cond.upper, data.feature_bounds)
+            previous = rm.volume_share(*cond, data.feature_bounds)
             for _ in range(8):
                 cond = grow_condition(cond, data, float(rng.uniform(0.01, 0.3)), rng)
-                current = rm.volume_share(cond.lower, cond.upper, data.feature_bounds)
+                current = rm.volume_share(*cond, data.feature_bounds)
                 assert current >= previous
                 previous = current
             chains += 1
@@ -113,16 +112,15 @@ def test_criterion_04_ridge_normal_equation_oracle():
             y = rng.normal(size=n)
             lam = lambdas[case % 3]
             data = rm.Dataset(X, y)
-            cond = rm.IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-            rule = rm.fit_rule(cond, data, lam)
+            rule = rm.fit_rule(*data.feature_bounds.T, data, lam)
             # oracle: augmented design matrix, intercept left unpenalized
             Xa = np.column_stack([np.ones(n), X])
             penalty = lam * np.eye(d + 1)
             penalty[0, 0] = 0.0
             beta = np.linalg.solve(Xa.T @ Xa + penalty, Xa.T @ y)
             assert rule.experience == n
-            np.testing.assert_allclose(rule.submodel.coefficients, beta[1:], atol=1e-8)
-            assert abs(rule.submodel.intercept - beta[0]) <= 1e-8
+            np.testing.assert_allclose(rule.coefficients, beta[1:], atol=1e-8)
+            assert abs(rule.intercept - beta[0]) <= 1e-8
 
 
 def _ten_rule_pool():
@@ -133,7 +131,7 @@ def _ten_rule_pool():
     rules = []
     while len(rules) < 10:
         x = data.features[int(rng.integers(0, data.n_samples))]
-        rule = rm.fit_rule(rm.initial_condition(x, data, 0.4, rng), data, 0.01)
+        rule = rm.fit_rule(*rm.initial_condition(x, data, 0.4, rng), data, 0.01)
         if not rule.is_degenerate:
             rules.append(rule)
     return rm.Pool(rules), data
@@ -164,7 +162,7 @@ def test_criterion_06_stall_window_termination(monkeypatch):
         t, delta, lam = 7, 3, 4
         calls = []
 
-        def rigged(condition, iteration):
+        def rigged(box, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + abs(t - iteration))  # peak 1.0 at iteration t
 

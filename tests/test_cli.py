@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from rulemix import (
-    IntervalCondition,
-    LinearSubmodel,
     Model,
     Pool,
     Rule,
@@ -210,13 +208,7 @@ class TestInspect:
     def test_one_rule_model_prints_one_block_with_d_interval_lines(self, tmp_path, capsys):
         lower = np.array([-1.0, 0.0, 2.0])
         upper = np.array([1.0, 4.0, 3.0])
-        rule = Rule(
-            IntervalCondition(lower, upper),
-            LinearSubmodel(np.array([2.0, -0.5, 0.0]), 1.0),
-            42,
-            0.01,
-            0.9,
-        )
+        rule = Rule(lower, upper, [2.0, -0.5, 0.0], 1.0, 42, 0.01, 0.9)
         model = Model(
             pool=Pool([rule]),
             best=SolutionCandidate(np.array([True]), 0.01, 1, 0.9),
@@ -278,13 +270,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def _two_feature_document(self, tmp_path):
-        rule = Rule(
-            IntervalCondition([0.0, 0.0], [1.0, 1.0]),
-            LinearSubmodel(np.array([1.0, 1.0]), 0.0),
-            5,
-            0.01,
-            0.5,
-        )
+        rule = Rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0, 5, 0.01, 0.5)
         model = Model(
             pool=Pool([rule]),
             best=SolutionCandidate(np.array([True]), 0.01, 1, 0.5),

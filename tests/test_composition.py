@@ -9,7 +9,6 @@ import rulemix.composition
 from rulemix import (
     CompositionParams,
     Dataset,
-    IntervalCondition,
     Pool,
     SolutionCandidate,
     candidate_fitness,
@@ -33,7 +32,7 @@ def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> 
     rules = []
     while len(rules) < count:
         x = data.features[rng.integers(0, data.n_samples)]
-        rule = fit_rule(initial_condition(x, data, sigma, rng), data, 0.01)
+        rule = fit_rule(*initial_condition(x, data, sigma, rng), data, 0.01)
         if not rule.is_degenerate:
             rules.append(rule)
     return Pool(rules)
@@ -302,8 +301,7 @@ class TestCompose:
     def test_single_rule_pool_matches_two_genome_enumeration(self):
         # Oracle: evaluate both possible genomes directly.
         data = linear_dataset(n=60, noise=0.0)
-        full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        pool = Pool([fit_rule(full, data, 0.0)])
+        pool = Pool([fit_rule(*data.feature_bounds.T, data, 0.0)])
         params = CompositionParams(population_size=8, generations_per_phase=10, elitists=1)
         on = evaluate(np.array([True]), pool, data, params)
         off = evaluate(np.array([False]), pool, data, params)
@@ -575,8 +573,7 @@ class TestComposeDrawOrder:
 
     def test_single_rule_pool(self):
         data = linear_dataset(n=60)
-        full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        pool = Pool([fit_rule(full, data, 0.01)])
+        pool = Pool([fit_rule(*data.feature_bounds.T, data, 0.01)])
         params = CompositionParams(population_size=9, generations_per_phase=6, elitists=2)
         self.check(pool, data, params, seed=7)
 

@@ -12,7 +12,6 @@ from rulemix import (
     Dataset,
     DiscoveryParams,
     FitnessParams,
-    IntervalCondition,
     RuleFitter,
     combine,
     discover_rule,
@@ -71,50 +70,49 @@ class TestInitialCondition:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = data.features[rng.integers(0, data.n_samples)]
-            cond = initial_condition(x, data, 0.1, rng)
-            assert matches(cond, x)
+            box = initial_condition(x, data, 0.1, rng)
+            assert matches(box, x)
 
     def test_tiny_sigma_degenerates_to_the_point(self):
         data = linear_dataset(n=20, noise=0.0)
         x = data.features[10]
-        cond = initial_condition(x, data, 1e-12, np.random.default_rng(0))
-        np.testing.assert_allclose(cond.lower, x, atol=1e-9)
-        np.testing.assert_allclose(cond.upper, x, atol=1e-9)
+        lower, upper = initial_condition(x, data, 1e-12, np.random.default_rng(0))
+        np.testing.assert_allclose(lower, x, atol=1e-9)
+        np.testing.assert_allclose(upper, x, atol=1e-9)
 
     def test_corner_seed_clips_to_bounds(self):
         data = linear_dataset(n=20, noise=0.0)
         corner = data.feature_bounds[:, 0]
         rng = np.random.default_rng(7)
         for _ in range(20):
-            cond = initial_condition(corner, data, 0.5, rng)
-            assert cond.lower[0] == data.feature_bounds[0, 0]
+            lower, _ = initial_condition(corner, data, 0.5, rng)
+            assert lower[0] == data.feature_bounds[0, 0]
 
 
 class TestMutateCondition:
     def test_growth_only(self):
         data = linear_dataset(n=30, seed=1)
         rng = np.random.default_rng(5)
-        parent = IntervalCondition([-0.25], [0.25])
+        parent = np.array([-0.25]), np.array([0.25])
         for _ in range(100):
-            child = grow_condition(parent, data, 0.05, rng)
-            assert child.lower[0] <= parent.lower[0]
-            assert child.upper[0] >= parent.upper[0]
+            lower, upper = grow_condition(parent, data, 0.05, rng)
+            assert lower[0] <= parent[0][0]
+            assert upper[0] >= parent[1][0]
 
     def test_full_span_parent_is_a_fixpoint(self):
         data = linear_dataset(n=30, noise=0.0)
-        parent = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        parent = (data.feature_bounds[:, 0], data.feature_bounds[:, 1])
         child = grow_condition(parent, data, 0.2, np.random.default_rng(0))
-        np.testing.assert_array_equal(child.lower, parent.lower)
-        np.testing.assert_array_equal(child.upper, parent.upper)
+        np.testing.assert_array_equal(child, parent)
 
     def test_volume_share_never_decreases_along_chain(self):
         rng = np.random.default_rng(11)
         data = linear_dataset(n=30, seed=3)
-        cond = IntervalCondition([-0.1], [0.1])
-        previous = volume_share(cond.lower, cond.upper, data.feature_bounds)
+        box = np.array([-0.1]), np.array([0.1])
+        previous = volume_share(*box, data.feature_bounds)
         for _ in range(50):
-            cond = grow_condition(cond, data, 0.05, rng)
-            current = volume_share(cond.lower, cond.upper, data.feature_bounds)
+            box = grow_condition(box, data, 0.05, rng)
+            current = volume_share(*box, data.feature_bounds)
             assert current >= previous
             previous = current
 
@@ -127,7 +125,7 @@ class TestDiscoverRule:
         params = DiscoveryParams(lambda_=4, delta=1, max_iter=100)
         calls = []
 
-        def rigged(condition, iteration):
+        def rigged(box, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + iteration)
 
@@ -142,7 +140,7 @@ class TestDiscoverRule:
         params = DiscoveryParams(lambda_=3, delta=2, max_iter=100)
         calls = []
 
-        def rigged(condition, iteration):
+        def rigged(box, iteration):
             calls.append(iteration)
             return 1.0 / (1.0 + abs(peak - iteration))
 
@@ -161,8 +159,8 @@ class TestDiscoverRule:
         params = DiscoveryParams(lambda_=4, delta=1, max_iter=100)
         scored = []
 
-        def rigged(condition, iteration):
-            scored.append((iteration, condition))
+        def rigged(box, iteration):
+            scored.append((iteration, box))
             return {0: 0.5, 1: 0.9}.get(iteration, 0.1)
 
         rig_scorer(monkeypatch, rigged)
@@ -170,15 +168,15 @@ class TestDiscoverRule:
         assert [iteration for iteration, _ in scored] == [0, 1, 1, 1, 1, 2, 2, 2, 2]
         first = scored[1][1]
         assert rule.fitness == 0.9
-        assert np.array_equal(rule.condition.lower, first.lower)
-        assert np.array_equal(rule.condition.upper, first.upper)
-        assert not np.array_equal(scored[4][1].lower, first.lower)
+        assert np.array_equal(rule.lower, first[0])
+        assert np.array_equal(rule.upper, first[1])
+        assert not np.array_equal(scored[4][1][0], first[0])
 
     def test_max_iter_cap_returns_best_seen(self, monkeypatch):
         data = linear_dataset(n=50, seed=0)
         params = DiscoveryParams(lambda_=2, delta=5, max_iter=7)
 
-        def rigged(condition, iteration):
+        def rigged(box, iteration):
             return iteration / 10.0  # strictly improving, never stalls
 
         rig_scorer(monkeypatch, rigged)
@@ -207,9 +205,8 @@ class TestDiscoverRule:
         data = linear_dataset(n=150, seed=9, noise=0.0, slope=3.0, intercept=-1.0)
         residuals = data.targets - data.targets.mean()
         params = DiscoveryParams()
-        full_range = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        oracle = fit_rule(full_range, data, params.ridge_lambda)
-        errors, lowers, uppers = np.array([oracle.in_sample_error]), full_range.lower[None], full_range.upper[None]
+        oracle = fit_rule(*data.feature_bounds.T, data, params.ridge_lambda)
+        errors, lowers, uppers = np.array([oracle.in_sample_error]), oracle.lower[None], oracle.upper[None]
         (oracle_fitness,) = rule_fitness(errors, lowers, uppers, data.feature_bounds, params.fitness)
         for seed in range(10):
             rule = discover_rule(data, residuals, params, np.random.default_rng(seed))
@@ -229,8 +226,8 @@ class TestDiscoverRule:
 
         monkeypatch.setattr(RuleFitter, "fit", counting_fit)
         rule = discover_rule(data, residuals, params, np.random.default_rng(0))
-        np.testing.assert_array_equal(rule.condition.lower, data.feature_bounds[:, 0])
-        np.testing.assert_array_equal(rule.condition.upper, data.feature_bounds[:, 1])
+        np.testing.assert_array_equal(rule.lower, data.feature_bounds[:, 0])
+        np.testing.assert_array_equal(rule.upper, data.feature_bounds[:, 1])
         # The seed's one-box fit, then one batched kernel call per iteration.
         seed, *iterations = batch_sizes
         assert seed == 1
@@ -269,14 +266,14 @@ class TestSeedBoxHoldsItsRow:
             rule = discover_rule(data, residuals, params, np.random.default_rng(seed))
         assert len(picks) == 1
         assert rule.experience >= 1
-        assert matches(rule.condition, data.features[picks[0]])
+        assert matches((rule.lower, rule.upper), data.features[picks[0]])
 
 
-def box_volume(condition, feature_bounds):
-    """One box's volume share, computed on its own."""
+def box_volume(rule, feature_bounds):
+    """The volume share of one rule's box, computed on its own."""
     ranges = feature_bounds[:, 1] - feature_bounds[:, 0]
     positive = ranges > 0
-    spans = condition.upper - condition.lower
+    spans = rule.upper - rule.lower
     return float(np.prod(np.where(positive, spans / np.where(positive, ranges, 1.0), 1.0)))
 
 
@@ -290,24 +287,20 @@ def object_discover_rule(data, residuals, params, rng, stop_at_full_box):
 
     def scored(rule):
         accuracy = pseudo_accuracy(rule.in_sample_error, params.fitness.beta)
-        fitness = combine(accuracy, box_volume(rule.condition, bounds), params.fitness.alpha)
+        fitness = combine(accuracy, box_volume(rule, bounds), params.fitness.alpha)
         return replace(rule, fitness=0.0 if rule.is_degenerate else fitness)
 
     index = select_seed_example(data, residuals, rng)
-    condition = initial_condition(data.features[index], data, params.sigma_init, rng)
-    parent = scored(fit_rule(condition, data, params.ridge_lambda))
+    lower, upper = initial_condition(data.features[index], data, params.sigma_init, rng)
+    parent = scored(fit_rule(lower, upper, data, params.ridge_lambda))
     fitter = RuleFitter(data, params.ridge_lambda)
     elitists = [parent]
     for iteration in range(1, params.max_iter + 1):
-        full = np.array_equal(parent.condition.lower, bounds[:, 0]) and np.array_equal(
-            parent.condition.upper, bounds[:, 1]
-        )
+        full = np.array_equal(parent.lower, bounds[:, 0]) and np.array_equal(parent.upper, bounds[:, 1])
         if stop_at_full_box and full:
             break
-        lowers, uppers = _grown_bounds(
-            parent.condition.lower, parent.condition.upper, data, params.mutation_sigma, rng, params.lambda_
-        )
-        children = fit_boxes(fitter, [IntervalCondition(lo, up) for lo, up in zip(lowers, uppers)])
+        lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, params.mutation_sigma, rng, params.lambda_)
+        children = fit_boxes(fitter, list(zip(lowers, uppers)))
         best_child = max((scored(child) for child in children), key=lambda rule: rule.fitness)
         elitists.append(best_child)
         if best_child.fitness > parent.fitness:
@@ -338,14 +331,14 @@ class TestMatchesObjectOracle:
     def test_runs_that_reach_the_full_box(self, seed):
         data = linear_dataset(n=200)
         rule = self.check(data, data.targets - data.targets.mean(), DiscoveryParams(), seed)
-        np.testing.assert_array_equal(rule.condition.lower, data.feature_bounds[:, 0])
-        np.testing.assert_array_equal(rule.condition.upper, data.feature_bounds[:, 1])
+        np.testing.assert_array_equal(rule.lower, data.feature_bounds[:, 0])
+        np.testing.assert_array_equal(rule.upper, data.feature_bounds[:, 1])
 
     def test_runs_that_stall(self):
         data = abs_dataset(n=120)
         for seed in range(4):
             rule = self.check(data, data.targets - data.targets.mean(), DiscoveryParams(lambda_=6), seed)
-            assert box_volume(rule.condition, data.feature_bounds) < 1.0
+            assert box_volume(rule, data.feature_bounds) < 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(seeded_searches(), st.floats(1e-6, 1.0), st.sampled_from([0.0, 0.01]))

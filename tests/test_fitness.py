@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rulemix import (
     FitnessParams,
-    IntervalCondition,
     candidate_fitness,
     combine,
     pseudo_accuracy,
@@ -95,21 +94,21 @@ class TestVolumeShare:
     bounds = np.array([[-1.0, 1.0], [0.0, 4.0]])
 
     def test_full_range_is_one(self):
-        cond = IntervalCondition([-1.0, 0.0], [1.0, 4.0])
-        assert volume_share(cond.lower, cond.upper, self.bounds) == 1.0
+        lower, upper = np.array([-1.0, 0.0]), np.array([1.0, 4.0])
+        assert volume_share(lower, upper, self.bounds) == 1.0
 
     def test_half_per_dimension(self):
-        cond = IntervalCondition([-0.5, 1.0], [0.5, 3.0])
-        assert volume_share(cond.lower, cond.upper, self.bounds) == pytest.approx(0.25, abs=1e-15)
+        lower, upper = np.array([-0.5, 1.0]), np.array([0.5, 3.0])
+        assert volume_share(lower, upper, self.bounds) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_width_condition_dimension(self):
-        cond = IntervalCondition([0.0, 1.0], [0.0, 3.0])
-        assert volume_share(cond.lower, cond.upper, self.bounds) == 0.0
+        lower, upper = np.array([0.0, 1.0]), np.array([0.0, 3.0])
+        assert volume_share(lower, upper, self.bounds) == 0.0
 
     def test_constant_feature_contributes_factor_one(self):
         flat = np.array([[-1.0, 1.0], [2.0, 2.0]])
-        cond = IntervalCondition([-1.0, 2.0], [0.0, 2.0])
-        assert volume_share(cond.lower, cond.upper, flat) == pytest.approx(0.5, abs=1e-15)
+        lower, upper = np.array([-1.0, 2.0]), np.array([0.0, 2.0])
+        assert volume_share(lower, upper, flat) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestRuleFitness:

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 import rulemix.model
 from rulemix import (
     Dataset,
-    IntervalCondition,
-    LinearSubmodel,
     Pool,
     Rule,
     RuleFitter,
@@ -48,13 +46,7 @@ def ridge_oracle(X, y, lam):
 
 
 def make_rule(lower, upper, coef, intercept, experience=10, error=0.0, fitness=0.0):
-    return Rule(
-        IntervalCondition(lower, upper),
-        LinearSubmodel(np.asarray(coef, dtype=float), intercept),
-        experience,
-        error,
-        fitness,
-    )
+    return Rule(lower, upper, coef, intercept, experience, error, fitness)
 
 
 class TestDataset:
@@ -77,25 +69,21 @@ class TestDataset:
 
 class TestMatches:
     def test_boundary_point_is_matched(self):
-        cond = IntervalCondition([0.0, 0.0], [1.0, 1.0])
+        cond = ([0.0, 0.0], [1.0, 1.0])
         assert matches(cond, [1.0, 0.0])
 
     def test_point_just_outside_upper(self):
-        cond = IntervalCondition([0.0], [1.0])
+        cond = ([0.0], [1.0])
         assert not matches(cond, [1.0000001])
 
     def test_interior_point(self):
-        cond = IntervalCondition([-1.0], [1.0])
+        cond = ([-1.0], [1.0])
         assert matches(cond, [0.0])
 
     def test_dimension_mismatch(self):
-        cond = IntervalCondition([0.0], [1.0])
+        cond = ([0.0], [1.0])
         with pytest.raises(ValueError):
             matches(cond, [0.0, 0.0])
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalCondition([1.0], [0.0])
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=4),
@@ -105,21 +93,76 @@ class TestMatches:
         d = len(point)
         low = [data.draw(st.floats(-10, 10)) for _ in range(d)]
         high = [max(l, data.draw(st.floats(-10, 10))) for l in low]
-        cond = IntervalCondition(low, high)
+        cond = (low, high)
         grow_low = [data.draw(st.floats(0, 5)) for _ in range(d)]
         grow_high = [data.draw(st.floats(0, 5)) for _ in range(d)]
-        wider = IntervalCondition(
-            np.asarray(low) - grow_low, np.asarray(high) + grow_high
-        )
+        wider = (np.asarray(low) - grow_low, np.asarray(high) + grow_high)
         if matches(cond, point):
             assert matches(wider, point)
 
     def test_match_mask_agrees_with_matches(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-2, 2, size=(50, 3))
-        cond = IntervalCondition([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
-        mask = match_masks(cond.lower[None], cond.upper[None], np.ascontiguousarray(X.T))[0]
-        assert mask.tolist() == [matches(cond, row) for row in X]
+        lower, upper = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0])
+        mask = match_masks(lower[None], upper[None], np.ascontiguousarray(X.T))[0]
+        assert mask.tolist() == [matches((lower, upper), row) for row in X]
+
+
+class TestRule:
+    """One constructor checks every field of the flat rule record."""
+
+    def test_fields_are_converted(self):
+        rule = Rule([0, 1], [2, 3], [1, -1], 2, np.int64(4), 0, 1)
+        for vector in (rule.lower, rule.upper, rule.coefficients):
+            assert vector.dtype == float and vector.shape == (2,)
+        assert type(rule.intercept) is float and type(rule.experience) is int
+        assert type(rule.in_sample_error) is float and type(rule.fitness) is float
+
+    def test_invalid_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+            make_rule([1.0], [0.0], [0.0], 0.0)
+
+    @pytest.mark.parametrize(
+        "lower, upper, coef",
+        [
+            ([0.0], [1.0], [1.0, 2.0]),  # coefficients wider than the box
+            ([0.0, 0.0], [1.0, 1.0], [1.0]),  # coefficients narrower than the box
+            ([0.0], [1.0, 1.0], [1.0]),
+            ([[0.0]], [[1.0]], [[1.0]]),
+            (0.0, 1.0, 1.0),
+        ],
+    )
+    def test_vectors_of_one_length_only(self, lower, upper, coef):
+        with pytest.raises(ValueError, match="1-D vectors of one length"):
+            make_rule(lower, upper, coef, 0.0)
+
+    @pytest.mark.parametrize(
+        "lower, upper, coef, intercept, message",
+        [
+            ([-np.inf], [1.0], [1.0], 0.0, "bounds must be finite"),
+            ([0.0], [np.nan], [1.0], 0.0, "bounds must be finite"),
+            ([0.0], [1.0], [np.inf], 0.0, "submodel parameters must be finite"),
+            ([0.0], [1.0], [1.0], np.nan, "submodel parameters must be finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, lower, upper, coef, intercept, message):
+        with pytest.raises(ValueError, match=message):
+            make_rule(lower, upper, coef, intercept)
+
+    @pytest.mark.parametrize(
+        "statistics, message",
+        [
+            (dict(experience=-1), "experience"),
+            (dict(error=-0.5), "in_sample_error"),
+            (dict(error=np.nan), "in_sample_error"),
+            (dict(fitness=1.5), "fitness"),
+            (dict(fitness=-0.1), "fitness"),
+            (dict(fitness=np.nan), "fitness"),
+        ],
+    )
+    def test_statistics_out_of_range_rejected(self, statistics, message):
+        with pytest.raises(ValueError, match=message):
+            make_rule([0.0], [1.0], [1.0], 0.0, **statistics)
 
 
 class TestMatchMasks:
@@ -137,16 +180,16 @@ class TestMatchMasks:
 
     def test_bounds_equal_to_data_values_are_inclusive(self):
         X = np.array([[0.0, 1.0], [0.5, 2.0], [1.0, 3.0], [1.5, 4.0]])
-        cond = IntervalCondition([0.5, 2.0], [1.0, 3.0])
+        cond = ([0.5, 2.0], [1.0, 3.0])
         masks = self.check([cond], X)
         assert masks[0].tolist() == [False, True, True, False]
 
     def test_zero_width_boxes(self):
         X = np.array([[0.0, 1.0], [0.5, 2.0], [0.5, 2.5], [1.0, 3.0]])
         conditions = [
-            IntervalCondition([0.5, 2.0], [0.5, 2.0]),  # a point on a row
-            IntervalCondition([0.5, 2.0], [0.5, 3.0]),  # zero width in one axis
-            IntervalCondition([0.25, 2.0], [0.25, 2.0]),  # a point on no row
+            ([0.5, 2.0], [0.5, 2.0]),  # a point on a row
+            ([0.5, 2.0], [0.5, 3.0]),  # zero width in one axis
+            ([0.25, 2.0], [0.25, 2.0]),  # a point on no row
         ]
         masks = self.check(conditions, X)
         assert masks.sum(axis=1).tolist() == [1, 2, 0]
@@ -154,8 +197,8 @@ class TestMatchMasks:
     def test_one_row_matrix(self):
         X = np.array([[0.3, -0.2, 0.9]])
         conditions = [
-            IntervalCondition([0.0, -1.0, 0.0], [1.0, 0.0, 1.0]),
-            IntervalCondition([0.4, -1.0, 0.0], [1.0, 0.0, 1.0]),
+            ([0.0, -1.0, 0.0], [1.0, 0.0, 1.0]),
+            ([0.4, -1.0, 0.0], [1.0, 0.0, 1.0]),
         ]
         masks = self.check(conditions, X)
         assert masks[:, 0].tolist() == [True, False]
@@ -173,14 +216,14 @@ class TestMatchMasks:
         conditions = []
         for _ in range(150):
             low, high = np.sort(rng.choice(values, size=(2, 4)), axis=0)
-            conditions.append(IntervalCondition(low, high))
+            conditions.append((low, high))
         masks = self.check(conditions, X)
         assert 0 < masks.sum() < masks.size
 
     # Three 2-wide boxes hold as many bounds as two 3-wide ones, so only the
     # width check stops them from being read as boxes over three columns.
     def test_wrong_width_condition_rejected(self):
-        conditions = [IntervalCondition([0.0, 0.0], [1.0, 1.0])] * 3
+        conditions = [([0.0, 0.0], [1.0, 1.0])] * 3
         with pytest.raises(ValueError, match="3 features"):
             match_masks(*stacked(conditions, 2), np.zeros((3, 5)))
 
@@ -198,15 +241,15 @@ class TestMatchMasks:
 class TestFitRule:
     def test_exact_line_through_two_points(self):
         data = Dataset([[0.0], [1.0]], [0.0, 2.0])
-        rule = fit_rule(IntervalCondition([0.0], [1.0]), data, 0.0)
+        rule = fit_rule([0.0], [1.0], data, 0.0)
         assert rule.experience == 2
-        assert rule.submodel.coefficients == pytest.approx([2.0], abs=1e-12)
-        assert rule.submodel.intercept == pytest.approx(0.0, abs=1e-12)
+        assert rule.coefficients == pytest.approx([2.0], abs=1e-12)
+        assert rule.intercept == pytest.approx(0.0, abs=1e-12)
         assert rule.in_sample_error == pytest.approx(0.0, abs=1e-24)
 
     def test_empty_match_is_degenerate(self):
         data = Dataset([[0.0], [1.0]], [0.0, 2.0])
-        rule = fit_rule(IntervalCondition([5.0], [6.0]), data, 0.0)
+        rule = fit_rule([5.0], [6.0], data, 0.0)
         assert rule.is_degenerate
         assert rule.experience == 0
         assert rule.in_sample_error == np.inf
@@ -217,32 +260,32 @@ class TestFitRule:
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
         data = Dataset(X, y)
-        cond = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        rule = fit_rule(cond, data, 0.1)
+        cond = (data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        rule = fit_rule(*cond, data, 0.1)
         coef, intercept = ridge_oracle(X, y, 0.1)
         assert rule.experience == 20
-        np.testing.assert_allclose(rule.submodel.coefficients, coef, atol=1e-8)
-        assert rule.submodel.intercept == pytest.approx(intercept, abs=1e-8)
+        np.testing.assert_allclose(rule.coefficients, coef, atol=1e-8)
+        assert rule.intercept == pytest.approx(intercept, abs=1e-8)
 
     def test_zero_lambda_reproduces_ols(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 2))
         y = 3 * X[:, 0] - X[:, 1] + rng.normal(size=30)
         data = Dataset(X, y)
-        cond = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        rule = fit_rule(cond, data, 0.0)
+        cond = (data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        rule = fit_rule(*cond, data, 0.0)
         coef, intercept = ridge_oracle(X, y, 0.0)
-        np.testing.assert_allclose(rule.submodel.coefficients, coef, atol=1e-8)
-        assert rule.submodel.intercept == pytest.approx(intercept, abs=1e-8)
+        np.testing.assert_allclose(rule.coefficients, coef, atol=1e-8)
+        assert rule.intercept == pytest.approx(intercept, abs=1e-8)
 
     def test_larger_lambda_never_grows_coefficient_norm(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
         data = Dataset(X, y)
-        cond = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        cond = (data.feature_bounds[:, 0], data.feature_bounds[:, 1])
         norms = [
-            np.linalg.norm(fit_rule(cond, data, lam).submodel.coefficients)
+            np.linalg.norm(fit_rule(*cond, data, lam).coefficients)
             for lam in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -250,12 +293,12 @@ class TestFitRule:
     def test_negative_lambda_rejected(self):
         data = Dataset([[0.0], [1.0]], [0.0, 2.0])
         with pytest.raises(ValueError):
-            fit_rule(IntervalCondition([0.0], [1.0]), data, -1.0)
+            fit_rule([0.0], [1.0], data, -1.0)
 
     def test_experience_counts_matched_examples(self):
         data = linear_dataset(n=50, noise=0.0)
-        cond = IntervalCondition([-0.5], [0.5])
-        rule = fit_rule(cond, data, 0.01)
+        cond = ([-0.5], [0.5])
+        rule = fit_rule(*cond, data, 0.01)
         assert rule.experience == int(match_mask(cond, data.features).sum())
 
 
@@ -267,10 +310,10 @@ class TestRuleFitter:
         conditions = []
         for _ in range(count):
             a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
-            conditions.append(IntervalCondition(np.minimum(a, b), np.maximum(a, b)))
-        conditions.append(IntervalCondition(hi + 1.0, hi + 2.0))
-        conditions.append(IntervalCondition(data.features[3], data.features[3]))
-        conditions.append(IntervalCondition(lo, hi))
+            conditions.append((np.minimum(a, b), np.maximum(a, b)))
+        conditions.append((hi + 1.0, hi + 2.0))
+        conditions.append((data.features[3], data.features[3]))
+        conditions.append((lo, hi))
         return conditions
 
     @staticmethod
@@ -280,22 +323,21 @@ class TestRuleFitter:
         lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
         width = hi - lo
         lower, upper = data.features[3] - 0.1 * width, data.features[3] + 0.1 * width
-        conditions = [IntervalCondition(np.maximum(lower, lo), np.minimum(upper, hi))]
+        conditions = [(np.maximum(lower, lo), np.minimum(upper, hi))]
         for _ in range(count):
             grow = rng.uniform(0.0, 0.5, size=(2, lo.shape[0])) * width
-            conditions.append(IntervalCondition(np.maximum(lower - grow[0], lo), np.minimum(upper + grow[1], hi)))
+            conditions.append((np.maximum(lower - grow[0], lo), np.minimum(upper + grow[1], hi)))
         return conditions
 
     @staticmethod
     def assert_matches_oracle(data, conditions, rules, ridge_lambda):
-        for condition, rule in zip(conditions, rules):
-            experience, coefficients, intercept, mse = box_ridge(
-                data, condition.lower, condition.upper, ridge_lambda
-            )
-            assert rule.condition is condition
+        for (lower, upper), rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(data, lower, upper, ridge_lambda)
+            np.testing.assert_array_equal(rule.lower, lower)
+            np.testing.assert_array_equal(rule.upper, upper)
             assert rule.experience == experience
-            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=0, atol=1e-8)
-            assert abs(rule.submodel.intercept - intercept) <= 1e-8
+            np.testing.assert_allclose(rule.coefficients, coefficients, rtol=0, atol=1e-8)
+            assert abs(rule.intercept - intercept) <= 1e-8
             if experience == 0:
                 assert rule.in_sample_error == np.inf
             else:
@@ -344,8 +386,8 @@ class TestRuleFitter:
             X = np.column_stack([X, np.full(len(X), constant)])
         data = Dataset(X, y)
         pairs = [(i % len(X), j % len(X)) for i, j in pairs]
-        conditions = [IntervalCondition(np.minimum(X[i], X[j]), np.maximum(X[i], X[j])) for i, j in pairs]
-        conditions.append(IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1]))
+        conditions = [(np.minimum(X[i], X[j]), np.maximum(X[i], X[j])) for i, j in pairs]
+        conditions.append((data.feature_bounds[:, 0], data.feature_bounds[:, 1]))
         rules = fit_boxes(RuleFitter(data, ridge_lambda), conditions)
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
 
@@ -360,8 +402,8 @@ class TestRuleFitter:
         chunked = fit_boxes(RuleFitter(data, 0.01), conditions)
         for a, b in zip(one_pass, chunked):
             assert a.experience == b.experience
-            np.testing.assert_allclose(a.submodel.coefficients, b.submodel.coefficients, atol=1e-12)
-            assert a.submodel.intercept == pytest.approx(b.submodel.intercept, abs=1e-12)
+            np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
+            assert a.intercept == pytest.approx(b.intercept, abs=1e-12)
             assert a.in_sample_error == pytest.approx(b.in_sample_error, rel=1e-12)
 
     def test_features_far_from_their_mean_and_scale(self):
@@ -370,17 +412,15 @@ class TestRuleFitter:
         rng = np.random.default_rng(7)
         X = 1e8 * rng.uniform(4.0, 6.0, size=(80, 3))
         data = Dataset(X, rng.normal(size=80))
-        conditions = [IntervalCondition(row, row) for row in data.features[:5]]
+        conditions = [(row, row) for row in data.features[:5]]
         hi, width = data.feature_bounds[:, 1], np.ptp(data.features, axis=0)
-        conditions += [IntervalCondition(hi - share * width, hi) for share in (0.5, 0.8)]
+        conditions += [(hi - share * width, hi) for share in (0.5, 0.8)]
         rules = fit_boxes(RuleFitter(data, 0.01), conditions)
-        for condition, rule in zip(conditions, rules):
-            experience, coefficients, intercept, mse = box_ridge(
-                data, condition.lower, condition.upper, 0.01
-            )
+        for (lower, upper), rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(data, lower, upper, 0.01)
             assert rule.experience == experience
-            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=1e-8, atol=1e-12)
-            assert rule.submodel.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
+            np.testing.assert_allclose(rule.coefficients, coefficients, rtol=1e-8, atol=1e-12)
+            assert rule.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
             assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
 
     def test_narrow_box_at_the_edge_of_a_wide_feature(self):
@@ -391,11 +431,11 @@ class TestRuleFitter:
         X = np.column_stack([x0, rng.normal(size=320)])
         data = Dataset(X, 3.0 * (x0 - 1e6) + X[:, 1] + rng.normal(0.0, 0.1, 320))
         lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
-        parent = IntervalCondition([1e6 - 1.0, lo[1]], hi)
-        children = [IntervalCondition([1e6 - width, lo[1]], hi) for width in (1.5, 2.0, 3.0)]
+        parent = ([1e6 - 1.0, lo[1]], hi)
+        children = [([1e6 - width, lo[1]], hi) for width in (1.5, 2.0, 3.0)]
         conditions = [parent, *children]
         self.assert_close_to_oracle(data, conditions, fit_boxes(RuleFitter(data, 0.01), conditions))
-        self.assert_close_to_oracle(data, [parent], [fit_rule(parent, data, 0.01)])
+        self.assert_close_to_oracle(data, [parent], [fit_rule(*parent, data, 0.01)])
 
     def test_box_constant_in_a_far_offset_column(self):
         # Inside the boxes the first column is constant at 1e6, half its
@@ -403,10 +443,10 @@ class TestRuleFitter:
         rng = np.random.default_rng(9)
         X = np.column_stack([rng.choice([0.0, 1e6], 400), rng.uniform(-1.0, 1.0, 400)])
         data = Dataset(X, X[:, 1] ** 2 + rng.normal(0.0, 0.1, 400))
-        conditions = [IntervalCondition([1e6, -0.5 - s], [1e6, 0.5 + s]) for s in (0.0, 0.1, 0.3)]
+        conditions = [([1e6, -0.5 - s], [1e6, 0.5 + s]) for s in (0.0, 0.1, 0.3)]
         rules = fit_boxes(RuleFitter(data, 0.01), conditions)
         self.assert_close_to_oracle(data, conditions, rules)
-        assert all(rule.submodel.coefficients[0] == 0.0 for rule in rules)
+        assert all(rule.coefficients[0] == 0.0 for rule in rules)
 
     def test_box_with_fewer_rows_than_features_at_large_scale(self):
         # Next to squares near 1e17 the penalty 0.01 rounds away, so a
@@ -414,9 +454,9 @@ class TestRuleFitter:
         # minimum-norm fit, which passes through both rows.
         X = np.array([[0.0, 0.0], [3e8, 1e8], [-2e8, 5e8], [1e8, -4e8]])
         data = Dataset(X, [0.0, 1.0, 2.0, 3.0])
-        rule = fit_rule(IntervalCondition([0.0, 0.0], [3e8, 1e8]), data, 0.01)
+        rule = fit_rule([0.0, 0.0], [3e8, 1e8], data, 0.01)
         expected = np.linalg.lstsq(X[:2] - X[:2].mean(axis=0), [-0.5, 0.5], rcond=None)[0]
-        np.testing.assert_allclose(rule.submodel.coefficients, expected, rtol=1e-12)
+        np.testing.assert_allclose(rule.coefficients, expected, rtol=1e-12)
         assert rule.experience == 2
         assert rule.in_sample_error < 1e-20
 
@@ -426,28 +466,26 @@ class TestRuleFitter:
         # singular system, and only that box gets the minimum-norm fit.
         X = 1e8 * np.array([[0, 0], [3, 1], [1, 4], [2.5, 3], [0.5, 2], [6, -2], [8, 0.5], [5, -4]])
         data = Dataset(X, [0.0, 1.0, 2.0, 3.0, -1.0, 0.5, 2.5, -2.0])
-        left = IntervalCondition([0.0, 0.0], [3e8, 5e8])
-        singular = IntervalCondition([0.0, 0.0], [3e8, 1e8])
-        right = IntervalCondition([0.0, -5e8], [9e8, 1e8])
+        left = ([0.0, 0.0], [3e8, 5e8])
+        singular = ([0.0, 0.0], [3e8, 1e8])
+        right = ([0.0, -5e8], [9e8, 1e8])
         fitter = RuleFitter(data, 0.01)
         with_singular = fit_boxes(fitter, [left, singular, right])
         without = fit_boxes(fitter, [left, right])
         for alone, batched in zip(without, [with_singular[0], with_singular[2]]):
             assert batched.experience == alone.experience == 5
-            np.testing.assert_array_equal(batched.submodel.coefficients, alone.submodel.coefficients)
-            assert batched.submodel.intercept == alone.submodel.intercept
+            np.testing.assert_array_equal(batched.coefficients, alone.coefficients)
+            assert batched.intercept == alone.intercept
             assert batched.in_sample_error == alone.in_sample_error
         assert with_singular[1].experience == 2 and with_singular[1].in_sample_error < 1e-20
 
     @staticmethod
     def assert_close_to_oracle(data, conditions, rules):
-        for condition, rule in zip(conditions, rules):
-            experience, coefficients, intercept, mse = box_ridge(
-                data, condition.lower, condition.upper, 0.01
-            )
+        for (lower, upper), rule in zip(conditions, rules):
+            experience, coefficients, intercept, mse = box_ridge(data, lower, upper, 0.01)
             assert rule.experience == experience > 0
-            np.testing.assert_allclose(rule.submodel.coefficients, coefficients, rtol=1e-8, atol=1e-12)
-            assert rule.submodel.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
+            np.testing.assert_allclose(rule.coefficients, coefficients, rtol=1e-8, atol=1e-12)
+            assert rule.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
             assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
 
     def test_wrong_width_condition_rejected(self):
@@ -503,21 +541,25 @@ class TestRuleFitterBits:
 
 
 class TestPredictRule:
+    """A rule's own prediction ``intercept + coefficients . x`` on a row its
+    box matches, as the prediction table forms it."""
+
+    @staticmethod
+    def predicted(rule, x):
+        table = RulePredictionTable.build([rule], np.atleast_2d(x))
+        return table.mixed(np.ones((1, 1)), np.nan)[0, 0]
+
     def test_constant_submodel(self):
         rule = make_rule([0.0], [1.0], [0.0], 3.25)
-        assert predict_one(rule, [0.7]) == 3.25
+        assert self.predicted(rule, [0.7]) == pytest.approx(3.25, rel=1e-15)
 
     def test_identity(self):
-        rule = make_rule([0.0], [1.0], [1.0], 0.0)
-        assert predict_one(rule, [3.5]) == 3.5
+        rule = make_rule([0.0], [4.0], [1.0], 0.0)
+        assert self.predicted(rule, [3.5]) == pytest.approx(3.5, rel=1e-15)
 
     def test_direct_arithmetic(self):
         rule = make_rule([0.0, 0.0], [1.0, 1.0], [2.0, -1.0], 1.0)
-        assert predict_one(rule, [1.0, 1.0]) == 2.0
-
-    def test_prediction_ignores_matching(self):
-        rule = make_rule([0.0], [1.0], [1.0], 0.0)
-        assert predict_one(rule, [100.0]) == 100.0
+        assert self.predicted(rule, [1.0, 1.0]) == pytest.approx(2.0, rel=1e-15)
 
 
 class TestPredictMixed:
@@ -760,12 +802,18 @@ class TestPool:
         assert len(pool) == 6
 
     def test_degenerate_rule_rejected(self):
-        degenerate = Rule(
-            IntervalCondition([0.0], [1.0]), LinearSubmodel(np.zeros(1), 0.0), 0, np.inf
-        )
+        degenerate = Rule([0.0], [1.0], np.zeros(1), 0.0, 0, np.inf)
         pool = Pool()
         with pytest.raises(ValueError, match="degenerate"):
             pool.append(degenerate)
+
+    def test_rule_of_another_width_rejected(self):
+        pool = Pool([make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0)])
+        with pytest.raises(ValueError, match="1 features .* over 2"):
+            pool.append(make_rule([0.0], [1.0], [1.0], 0.0))
+        with pytest.raises(ValueError, match="1 features .* over 2"):
+            Pool([pool[0], make_rule([0.0], [1.0], [1.0], 0.0)])
+        assert len(pool) == 1
 
     def test_rules_view_is_tuple(self):
         pool = Pool([make_rule([0.0], [1.0], [1.0], 0.0)])
@@ -795,9 +843,7 @@ class TestSolutionResiduals:
 
     def test_perfect_rule_zeroes_residuals(self):
         data = linear_dataset(n=30, noise=0.0)
-        rule = fit_rule(
-            IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1]), data, 0.0
-        )
+        rule = fit_rule(data.feature_bounds[:, 0], data.feature_bounds[:, 1], data, 0.0)
         pool = Pool([rule])
         candidate = SolutionCandidate(np.array([True]), 0.0, 1, 0.0)
         residuals = solution_residuals(candidate, pool, data)
@@ -805,12 +851,7 @@ class TestSolutionResiduals:
 
     def test_residuals_match_per_row_recomputation(self):
         data = linear_dataset(n=40, seed=2, noise=0.3)
-        rules = [
-            fit_rule(
-                IntervalCondition([lo], [lo + width]), data, 0.01
-            )
-            for lo, width in [(-1.0, 0.8), (-0.4, 1.0), (0.2, 0.8)]
-        ]
+        rules = [fit_rule([lo], [lo + width], data, 0.01) for lo, width in [(-1.0, 0.8), (-0.4, 1.0), (0.2, 0.8)]]
         pool = Pool(rules)
         genome = np.array([True, False, True])
         candidate = SolutionCandidate(genome, 0.0, 2, 0.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulemix import ModelFormatError, fit, load_model, save_model
+from rulemix.io import cli
 from rulemix.io.modelfile import FORMAT_VERSION
 
 from conftest import linear_dataset, rules_equal
@@ -92,6 +93,22 @@ class TestRoundTrip:
         second = tmp_path / "again.json"
         save_model(loaded, str(second))
         assert second.read_bytes() == Path(path).read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "model_v2.json"
+
+
+def test_committed_file_resaves_and_inspects_unchanged(tmp_path, capsys):
+    # A format-2 file written before rules were one flat record: a 41-row,
+    # one-feature fit of sin(3x) with seed 1, three phases of two rules each.
+    # Loading, saving and inspecting it use no matrix product, so its bytes
+    # and text hold on any BLAS.
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(str(GOLDEN)), str(resaved))
+    assert resaved.read_bytes() == GOLDEN.read_bytes()
+    assert cli(["inspect", "--model", str(GOLDEN)]) == 0
+    expected = GOLDEN.with_name("model_v2_inspect.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 class TestFormatErrors:
@@ -188,6 +205,24 @@ class TestFormatErrors:
         broken = tmp_path / "metadata.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=field):
+            load_model(str(broken))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(coefficients=[1.0, 2.0]), "rule 0 is invalid: .*one length"),
+            (dict(lower=[0.0, 0.0], upper=[1.0, 1.0], coefficients=[1.0, 2.0]), "rule 0 vectors must have length 1"),
+            (dict(lower=[1.0], upper=[0.0]), "rule 0 is invalid: lower bound exceeds upper bound"),
+            (dict(fitness=1.5), "rule 0 is invalid: fitness"),
+        ],
+    )
+    def test_bad_rule_rejected(self, trained, tmp_path, change, message):
+        _, _, path = trained
+        document = read_document(path)
+        document["rules"][0].update(change)
+        broken = tmp_path / "rule.json"
+        broken.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
             load_model(str(broken))
 
     @pytest.mark.parametrize(

@@ -8,8 +8,6 @@ from rulemix import (
     DataError,
     Dataset,
     DiscoveryParams,
-    IntervalCondition,
-    LinearSubmodel,
     Model,
     Pool,
     Rule,
@@ -40,8 +38,7 @@ def quick_config(seed=0, **kwargs):
 
 def exact_cover_model(data: Dataset, slope: float, intercept: float) -> Model:
     """One full-range rule reproducing the generating line exactly."""
-    full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-    rule = Rule(full, LinearSubmodel(np.array([slope]), intercept), data.n_samples, 0.0, 1.0)
+    rule = Rule(*data.feature_bounds.T, [slope], intercept, data.n_samples, 0.0, 1.0)
     pool = Pool([rule])
     best = SolutionCandidate(np.array([True]), 0.0, 1, 0.9)
     return Model(
@@ -69,8 +66,8 @@ class TestFit:
         assert a.best.cached_mse == b.best.cached_mse
         assert a.history == b.history
         for ra, rb in zip(a.pool, b.pool):
-            assert np.array_equal(ra.condition.lower, rb.condition.lower)
-            assert np.array_equal(ra.condition.upper, rb.condition.upper)
+            assert np.array_equal(ra.lower, rb.lower)
+            assert np.array_equal(ra.upper, rb.upper)
             assert ra.in_sample_error == rb.in_sample_error
 
     def test_recovers_noiseless_line(self):
@@ -171,8 +168,8 @@ class TestFit:
         assert len(model.pool) == model.config.n_phases * discovery.rules_per_phase
         for rule in model.pool:
             assert rule.experience >= 1
-            assert np.all(np.isfinite(rule.submodel.coefficients))
-            assert np.isfinite(rule.submodel.intercept)
+            assert np.all(np.isfinite(rule.coefficients))
+            assert np.isfinite(rule.intercept)
             assert np.isfinite(rule.in_sample_error)
 
     def test_features_of_order_1e8(self):
@@ -181,7 +178,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1.0, 1.0, (20, 2))
         model = fit(Dataset(1e8 * X, np.abs(X[:, 0]) + X[:, 1]), quick_config())
-        assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+        assert all(np.all(np.isfinite(rule.coefficients)) for rule in model.pool)
 
 
 class TestFittable:
@@ -227,9 +224,9 @@ class TestFittable:
         X, y = self.rows()
         config = quick_config(discovery=DiscoveryParams(ridge_lambda=ridge_lambda))
         model = fit(Dataset(x_scale * X, y_scale * y), config)
-        assert all(np.all(np.isfinite(rule.submodel.coefficients)) for rule in model.pool)
+        assert all(np.all(np.isfinite(rule.coefficients)) for rule in model.pool)
         if x_scale < 1e-300 and ridge_lambda == 0:
-            assert all(not np.any(rule.submodel.coefficients) for rule in model.pool)
+            assert all(not np.any(rule.coefficients) for rule in model.pool)
 
     def test_slope_beyond_float_range_rejected(self):
         # Least squares on features of 1e-160 and targets of 1e150 needs a
@@ -281,8 +278,7 @@ class TestScore:
 
     def test_constant_mean_predictor_scores_r2_zero(self):
         data = linear_dataset(n=50, noise=0.0)
-        full = IntervalCondition(data.feature_bounds[:, 0], data.feature_bounds[:, 1])
-        rule = Rule(full, LinearSubmodel(np.zeros(1), 0.0), data.n_samples, 1.0, 0.5)
+        rule = Rule(*data.feature_bounds.T, np.zeros(1), 0.0, data.n_samples, 1.0, 0.5)
         model = Model(
             pool=Pool([rule]),
             best=SolutionCandidate(np.array([False]), 0.0, 0, 0.0),
