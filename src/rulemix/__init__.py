@@ -45,7 +45,6 @@ from .model import (
     RulePredictionTable,
     SolutionCandidate,
     fit_rule,
-    mixing_weight,
     solution_residuals,
 )
 from .training import Model, PhaseMetrics, TrainingConfig, fit
@@ -84,7 +83,6 @@ __all__ = [
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",
-    "mixing_weight",
     "mutate_bits",
     "pseudo_accuracy",
     "rank_positions",

@@ -43,25 +43,19 @@ class CompositionParams:
 
 
 def evaluate_candidate(
-    genomes: np.ndarray,
-    pool: Pool,
-    data: Dataset,
-    params: CompositionParams,
-    table: RulePredictionTable,
+    genomes: np.ndarray, data: Dataset, params: CompositionParams, table: RulePredictionTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(mse, complexity, fitness)`` arrays of the (genomes x rules)
     stack ``genomes``: each row's in-sample MSE of its mixed prediction over
-    the full training set, its rule count, and its :func:`candidate_fitness`,
-    one scalar call per row (``np.exp`` would move the last bit).
+    the full training set, its rule count, and its :func:`candidate_fitness`.
 
-    ``table`` holds the per-rule masks and predictions of ``pool`` over
-    ``data.features``. The stack is mixed ``PRODUCT_FLOATS // n`` genomes
-    at a time (never fewer than two), so the scratch stays bounded, and a
-    genome's scores do not depend on the stack it comes in.
+    ``table`` holds the per-rule masks and predictions of the pool over
+    ``data.features``, and refuses a stack of another width. The stack is
+    mixed ``PRODUCT_FLOATS // n`` genomes at a time (never fewer than two),
+    so the scratch stays bounded, and a genome's scores do not depend on the
+    stack it comes in.
     """
     genomes = np.asarray(genomes, dtype=bool)
-    if genomes.ndim != 2 or genomes.shape[1] != len(pool):
-        raise ValueError(f"genome stack {genomes.shape} does not match pool size {len(pool)}")
     step = max(2, PRODUCT_FLOATS // data.n_samples)
     mse = np.empty(genomes.shape[0])
     for start in range(0, genomes.shape[0], step):
@@ -70,8 +64,8 @@ def evaluate_candidate(
         np.square(errors, out=errors)
         mse[start : start + step] = np.mean(errors, axis=1)
     complexity = genomes.sum(axis=1)
-    fitness = [candidate_fitness(m, c, len(pool), params.fitness) for m, c in zip(mse.tolist(), complexity.tolist())]
-    return mse, complexity, np.array(fitness)
+    pool_size = table.weighted_masks.shape[0]
+    return mse, complexity, candidate_fitness(mse, complexity, pool_size, params.fitness)
 
 
 def rank_positions(fitness: np.ndarray, complexity: np.ndarray) -> np.ndarray:
@@ -173,7 +167,7 @@ def compose(
         keys = [genome.tobytes() for genome in genomes]
         new = {key: row for row, key in enumerate(keys) if key not in scored}
         if new:
-            scores = evaluate_candidate(genomes[list(new.values())], pool, data, params, table)
+            scores = evaluate_candidate(genomes[list(new.values())], data, params, table)
             scored.update(zip(new, zip(*(column.tolist() for column in scores))))
         return [np.array(column) for column in zip(*(scored[key] for key in keys))]
 

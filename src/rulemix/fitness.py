@@ -1,5 +1,6 @@
 """Two-objective fitness: error squashing, interval volume share, and their
-weighted combination for both rules and solution candidates."""
+weighted combination for both rules and solution candidates. Each formula
+takes scalars or arrays, and scores an array entry by entry."""
 
 from __future__ import annotations
 
@@ -24,32 +25,41 @@ class FitnessParams:
             raise ValueError("beta must be positive")
 
 
-def combine(o1: float, o2: float, alpha: float) -> float:
-    """Combine two [0, 1] objectives into (1 + a^2) o1 o2 / (a^2 o1 + o2).
+def _refuse_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` about the first entry of ``values`` where ``bad`` holds."""
+    if bad.any():
+        raise ValueError(message.format(values[bad][0]))
+
+
+def combine(o1: float | np.ndarray, o2: float | np.ndarray, alpha: float) -> float | np.ndarray:
+    """Combine two [0, 1] objectives into (1 + a^2) o1 o2 / (a^2 o1 + o2),
+    entry by entry for arrays of objectives.
 
     Reduces to o1 for alpha -> 0 and to o2 for alpha -> inf; equals the
-    objectives on the diagonal. Returns 0 when both objectives are 0.
+    objectives on the diagonal. Gives 0 where both objectives are 0.
     """
-    if not 0.0 <= o1 <= 1.0:
-        raise ValueError(f"o1 must lie in [0, 1], got {o1}")
-    if not 0.0 <= o2 <= 1.0:
-        raise ValueError(f"o2 must lie in [0, 1], got {o2}")
+    o1, o2 = np.asarray(o1, dtype=float), np.asarray(o2, dtype=float)
+    _refuse_first(~((0.0 <= o1) & (o1 <= 1.0)), o1, "o1 must lie in [0, 1], got {}")
+    _refuse_first(~((0.0 <= o2) & (o2 <= 1.0)), o2, "o2 must lie in [0, 1], got {}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     a2 = alpha * alpha
     denominator = a2 * o1 + o2
-    if denominator == 0.0:
-        return 0.0
-    return (1.0 + a2) * o1 * o2 / denominator
+    out = np.zeros(denominator.shape)
+    np.divide((1.0 + a2) * o1 * o2, denominator, out=out, where=denominator != 0.0)
+    return out[()]
 
 
-def pseudo_accuracy(mse: float, beta: float) -> float:
-    """Squash a mean squared error into (0, 1] via exp(-mse * beta)."""
-    if mse < 0:
-        raise ValueError("mse must be non-negative")
+def pseudo_accuracy(mse: float | np.ndarray, beta: float) -> float | np.ndarray:
+    """Squash mean squared errors into [0, 1] via exp(-mse * beta)."""
+    mse = np.asarray(mse, dtype=float)
+    _refuse_first(mse < 0, mse, "mse must be non-negative")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return math.exp(-mse * beta)
+    # math.exp, entry by entry: np.exp can differ from it in the last bit,
+    # and every fitness lands in the model file.
+    accuracies = (math.exp(-error * beta) for error in mse.ravel().tolist())
+    return np.fromiter(accuracies, float, mse.size).reshape(mse.shape)[()]
 
 
 def volume_share(lowers: np.ndarray, uppers: np.ndarray, feature_bounds: np.ndarray) -> np.ndarray:
@@ -72,27 +82,21 @@ def rule_fitness(
     errors: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, feature_bounds: np.ndarray, params: FitnessParams
 ) -> np.ndarray:
     """Per box of the (boxes x d) bound stacks, the combined fitness of its
-    in-sample error ``errors[k]`` and its volume share.
-
-    Each box is scored by the scalar :func:`pseudo_accuracy` and
-    :func:`combine`, so its bits are those of the one-box formulas
-    (``np.exp`` can differ from ``math.exp`` in the last bit). An empty box
-    carries infinite error, whose accuracy is 0, so it scores 0.
-    """
-    accuracies = [pseudo_accuracy(error, params.beta) for error in np.asarray(errors).tolist()]
-    volumes = volume_share(lowers, uppers, feature_bounds).tolist()
-    return np.array([combine(o1, o2, params.alpha) for o1, o2 in zip(accuracies, volumes)], dtype=float)
+    in-sample error ``errors[k]`` and its volume share. An empty box carries
+    infinite error, whose accuracy is 0, so it scores 0."""
+    return combine(pseudo_accuracy(errors, params.beta), volume_share(lowers, uppers, feature_bounds), params.alpha)
 
 
-def candidate_fitness(mse: float, complexity: int, pool_size: int, params: FitnessParams) -> float:
-    """Combined fitness of a solution candidate from its in-sample MSE and
+def candidate_fitness(
+    mse: float | np.ndarray, complexity: int | np.ndarray, pool_size: int, params: FitnessParams
+) -> float | np.ndarray:
+    """Combined fitness of solution candidates from their in-sample MSE and
     the number of selected rules, normalized against the current pool size."""
     if pool_size < 1:
         raise ValueError("pool_size must be positive")
-    if complexity < 0:
-        raise ValueError("complexity must be non-negative")
-    if complexity > pool_size:
-        raise ValueError(f"complexity {complexity} exceeds pool size {pool_size}")
+    complexity = np.asarray(complexity)
+    _refuse_first(complexity < 0, complexity, "complexity must be non-negative")
+    _refuse_first(complexity > pool_size, complexity, f"complexity {{}} exceeds pool size {pool_size}")
     o1 = pseudo_accuracy(mse, params.beta)
     o2 = 1.0 - complexity / pool_size
     return combine(o1, o2, params.alpha)

@@ -9,6 +9,7 @@ column at a time; and all mixing goes through :meth:`RulePredictionTable.mixed`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -123,7 +124,13 @@ class Rule:
             raise ValueError("lower bound exceeds upper bound")
         if not (np.isfinite(coefficients).all() and math.isfinite(self.intercept)):
             raise ValueError("submodel parameters must be finite")
-        if self.experience < 0:
+        try:
+            if isinstance(self.experience, (bool, np.bool_)):
+                raise TypeError
+            experience = operator.index(self.experience)
+        except TypeError:
+            raise ValueError(f"experience must be an integer count, got {self.experience!r}") from None
+        if experience < 0:
             raise ValueError("experience must be non-negative")
         if not self.in_sample_error >= 0:
             raise ValueError("in_sample_error must be non-negative")
@@ -133,7 +140,7 @@ class Rule:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "experience", int(self.experience))
+        object.__setattr__(self, "experience", experience)
         object.__setattr__(self, "in_sample_error", float(self.in_sample_error))
         object.__setattr__(self, "fitness", float(self.fitness))
 
@@ -362,11 +369,6 @@ class SolutionCandidate:
         object.__setattr__(self, "cached_fitness", float(self.cached_fitness))
 
 
-def mixing_weight(rule: Rule) -> float:
-    """Mixing weight: experience over (in-sample error + epsilon)."""
-    return rule.experience / (rule.in_sample_error + MIXING_EPSILON)
-
-
 def rule_bounds(rules: Sequence[Rule], d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (rules x width) stacks of the rules' lower and upper bounds;
     (0 x d) stacks when there is no rule."""
@@ -397,7 +399,8 @@ class RulePredictionTable:
         predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
         for k, rule in enumerate(rules):
             predictions[k] = X @ rule.coefficients + rule.intercept
-        weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
+        experience, errors = np.array([(rule.experience, rule.in_sample_error) for rule in rules]).reshape(-1, 2).T
+        weights = experience / (errors + MIXING_EPSILON)
         weighted_masks = weights[:, None] * masks
         predictions *= weighted_masks
         return cls(weighted_masks, predictions)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 import rulemix.discovery
 import rulemix.model
-from rulemix import Dataset, Rule, mixing_weight
+from rulemix import Dataset, Rule
 from rulemix.discovery import _grown_bounds
+from rulemix.model import MIXING_EPSILON
 
 
 def linear_dataset(n=200, seed=0, noise=0.05, slope=2.0, intercept=1.0):
@@ -24,6 +26,52 @@ def abs_dataset(n=400):
     """y = |x| with x spanning [-1, 1]; not globally linear."""
     x = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
     return Dataset(x, np.abs(x[:, 0]))
+
+
+# Scalar reference formulas: the package scores whole arrays, and its bits
+# must be these, entry by entry.
+
+
+def reference_combine(o1, o2, alpha):
+    """(1 + a^2) o1 o2 / (a^2 o1 + o2) of two [0, 1] objectives; 0 when both are 0."""
+    if not 0.0 <= o1 <= 1.0:
+        raise ValueError(f"o1 must lie in [0, 1], got {o1}")
+    if not 0.0 <= o2 <= 1.0:
+        raise ValueError(f"o2 must lie in [0, 1], got {o2}")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    a2 = alpha * alpha
+    denominator = a2 * o1 + o2
+    if denominator == 0.0:
+        return 0.0
+    return (1.0 + a2) * o1 * o2 / denominator
+
+
+def reference_pseudo_accuracy(mse, beta):
+    """exp(-mse * beta) of one mean squared error."""
+    if mse < 0:
+        raise ValueError("mse must be non-negative")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return math.exp(-mse * beta)
+
+
+def reference_candidate_fitness(mse, complexity, pool_size, params):
+    """Fitness of one candidate from its MSE and its rule count out of ``pool_size``."""
+    if pool_size < 1:
+        raise ValueError("pool_size must be positive")
+    if complexity < 0:
+        raise ValueError("complexity must be non-negative")
+    if complexity > pool_size:
+        raise ValueError(f"complexity {complexity} exceeds pool size {pool_size}")
+    o1 = reference_pseudo_accuracy(mse, params.beta)
+    o2 = 1.0 - complexity / pool_size
+    return reference_combine(o1, o2, params.alpha)
+
+
+def reference_mixing_weight(rule):
+    """A rule's mixing weight: experience over (in-sample error + epsilon)."""
+    return rule.experience / (rule.in_sample_error + MIXING_EPSILON)
 
 
 def rules_equal(a: Rule, b: Rule) -> bool:
@@ -98,7 +146,7 @@ def predict_mixed(candidate, pool, x, default):
     for index in np.flatnonzero(candidate.genome):
         rule = pool[index]
         if np.all(rule.lower <= x) and np.all(x <= rule.upper):
-            w = mixing_weight(rule)
+            w = reference_mixing_weight(rule)
             numerator += w * predict_one(rule, x)
             denominator += w
     if denominator <= 0.0:
@@ -114,7 +162,7 @@ def mixed_table_oracle(rules, X, selected, default):
     selected = np.asarray(selected, dtype=bool)
     masks = np.array([match_mask((rule.lower, rule.upper), X) for rule in rules]).reshape(len(rules), X.shape[0])
     predictions = np.array([X @ rule.coefficients + rule.intercept for rule in rules]).reshape(len(rules), X.shape[0])
-    weights = np.array([mixing_weight(rule) for rule in rules], dtype=float)
+    weights = np.array([reference_mixing_weight(rule) for rule in rules], dtype=float)
     weighted_masks = weights[selected, None] * masks[selected]
     denominator = weighted_masks.sum(axis=0)
     numerator = (weighted_masks * predictions[selected]).sum(axis=0)

@@ -143,7 +143,7 @@ def test_criterion_05_ga_matches_brute_force():
         params = rm.CompositionParams(population_size=64, generations_per_phase=200)
         table = RulePredictionTable.build(pool.rules, data.features)
         genomes = np.array(list(itertools.product([False, True], repeat=10)))
-        _, _, fitness = rm.evaluate_candidate(genomes, pool, data, params, table)
+        _, _, fitness = rm.evaluate_candidate(genomes, data, params, table)
         optimum = fitness.max()
         near, exact = 0, 0
         for seed in range(10):

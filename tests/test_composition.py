@@ -11,7 +11,6 @@ from rulemix import (
     Dataset,
     Pool,
     SolutionCandidate,
-    candidate_fitness,
     compose,
     crossover_npoint,
     evaluate_candidate,
@@ -23,7 +22,7 @@ from rulemix import (
 )
 from rulemix.model import RulePredictionTable
 
-from conftest import linear_dataset
+from conftest import linear_dataset, reference_candidate_fitness
 
 
 def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> Pool:
@@ -49,7 +48,7 @@ def evaluate(genome, pool, data, params):
     and dataset."""
     table = RulePredictionTable.build(pool.rules, data.features)
     genomes = np.asarray(genome, dtype=bool)[None]
-    return candidates(genomes, evaluate_candidate(genomes, pool, data, params, table))[0]
+    return candidates(genomes, evaluate_candidate(genomes, data, params, table))[0]
 
 
 def padded(genomes, n):
@@ -98,7 +97,7 @@ class TestEvaluateCandidate:
         for _ in range(20):
             genome = rng.random(6) < 0.5
             candidate = evaluate(genome, pool, square_dataset, params)
-            assert candidate.cached_fitness == candidate_fitness(
+            assert candidate.cached_fitness == reference_candidate_fitness(
                 candidate.cached_mse, candidate.cached_complexity, len(pool), params.fitness
             )
 
@@ -115,11 +114,11 @@ class TestEvaluateCandidate:
         params = CompositionParams()
         table = RulePredictionTable.build(pool.rules, square_dataset.features)
         genomes = np.random.default_rng(4).random((7, 6)) < 0.5
-        whole = candidates(genomes, evaluate_candidate(genomes, pool, square_dataset, params, table))
+        whole = candidates(genomes, evaluate_candidate(genomes, square_dataset, params, table))
         monkeypatch.setattr(rulemix.composition, "PRODUCT_FLOATS", chunk_rows * square_dataset.n_samples)
         batches, mixed = [], table.mixed
         monkeypatch.setattr(table, "mixed", lambda stack, default: batches.append(len(stack)) or mixed(stack, default))
-        chunked = candidates(genomes, evaluate_candidate(genomes, pool, square_dataset, params, table))
+        chunked = candidates(genomes, evaluate_candidate(genomes, square_dataset, params, table))
         assert batches == ([3, 3, 1] if chunk_rows == 3 else [2, 2, 2, 1])
         assert [summary(c) for c in chunked] == [summary(c) for c in whole]
         assert [summary(c) for c in whole] == [summary(evaluate(g, pool, square_dataset, params)) for g in genomes]
@@ -352,7 +351,7 @@ class TestCompose:
         params = CompositionParams(population_size=14, generations_per_phase=10)
         best, genomes = compose(pool, square_dataset, params, np.random.default_rng(4))
         table = RulePredictionTable.build(pool.rules, square_dataset.features)
-        _, _, fitness = evaluate_candidate(genomes, pool, square_dataset, params, table)
+        _, _, fitness = evaluate_candidate(genomes, square_dataset, params, table)
         assert best.cached_fitness >= fitness.max()
 
     def test_empty_pool_rejected(self, square_dataset):
@@ -487,7 +486,7 @@ def interleaved_compose(pool, data, params, rng, warm_genomes=None):
         return winner
 
     def scored(genome):
-        return candidates(genome[None], evaluate_candidate(genome[None], pool, data, params, table))[0]
+        return candidates(genome[None], evaluate_candidate(genome[None], data, params, table))[0]
 
     genomes = [] if warm_genomes is None else list(padded(warm_genomes, n))[:size]
     while len(genomes) < size:

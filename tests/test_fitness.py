@@ -1,11 +1,13 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rulemix.fitness
 from rulemix import (
     FitnessParams,
     candidate_fitness,
@@ -14,6 +16,8 @@ from rulemix import (
     rule_fitness,
     volume_share,
 )
+
+from conftest import reference_candidate_fitness, reference_combine, reference_pseudo_accuracy
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 alphas = st.floats(0.01, 10.0, allow_nan=False)
@@ -145,7 +149,9 @@ class TestRuleFitness:
             warnings.simplefilter("error")
             fitness = rule_fitness(errors, lowers, uppers, bounds, params)
         one_box = [
-            combine(pseudo_accuracy(error, params.beta), float(volume_share(lower, upper, bounds)), params.alpha)
+            reference_combine(
+                reference_pseudo_accuracy(error, params.beta), float(volume_share(lower, upper, bounds)), params.alpha
+            )
             for error, lower, upper in zip(errors.tolist(), lowers, uppers)
         ]
         assert fitness.tolist() == one_box
@@ -173,6 +179,104 @@ class TestCandidateFitness:
         params = FitnessParams()
         values = [candidate_fitness(0.05, c, 20, params) for c in range(21)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+fitness_params = st.builds(FitnessParams, alphas, st.floats(0.01, 10.0))
+# Non-negative errors, infinite ones (an empty box) included.
+errors = st.floats(0.0, allow_nan=False)
+
+
+@st.composite
+def box_stacks(draw):
+    """(errors, lowers, uppers, feature_bounds) of up to six boxes over up
+    to three features; features may have zero range and boxes zero width."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    lows = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    widths = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=d, max_size=d)))
+    fraction = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    a, b = (np.array(draw(st.lists(fraction, min_size=k * d, max_size=k * d))).reshape(k, d) for _ in "ab")
+    # lows + f * widths is monotone in f, so every box lies in the bounds.
+    lowers, uppers = lows + np.minimum(a, b) * widths, lows + np.maximum(a, b) * widths
+    stack_errors = np.array(draw(st.lists(errors, min_size=k, max_size=k)), dtype=float)
+    return stack_errors, lowers, uppers, np.column_stack([lows, lows + widths])
+
+
+@st.composite
+def candidate_stacks(draw):
+    """(mse, complexity, pool_size) of up to eight candidates."""
+    pool_size = draw(st.integers(1, 50))
+    complexity = draw(st.lists(st.integers(0, pool_size), max_size=8))
+    mse = draw(st.lists(errors, min_size=len(complexity), max_size=len(complexity)))
+    return mse, complexity, pool_size
+
+
+class TestStacksMatchTheScalarFormulas:
+    """Every entry of a stack has the bits of the scalar reference formulas."""
+
+    @given(box_stacks(), fitness_params)
+    @example(
+        # Both objectives 0: an infinite error in a zero-volume box.
+        (np.array([np.inf, 0.0]), np.array([[0.5], [0.0]]), np.array([[0.5], [1.0]]), np.array([[0.0, 1.0]])),
+        FitnessParams(),
+    )
+    @example(
+        # A zero-range feature contributes factor 1.
+        (np.array([0.25]), np.array([[2.0, 0.0]]), np.array([[2.0, 0.5]]), np.array([[2.0, 2.0], [0.0, 1.0]])),
+        FitnessParams(),
+    )
+    def test_rule_fitness(self, stack, params):
+        errors, lowers, uppers, bounds = stack
+        fitness = rule_fitness(errors, lowers, uppers, bounds, params)
+        reference = [
+            reference_combine(
+                reference_pseudo_accuracy(error, params.beta), float(volume_share(lower, upper, bounds)), params.alpha
+            )
+            for error, lower, upper in zip(errors.tolist(), lowers, uppers)
+        ]
+        assert fitness.shape == errors.shape
+        assert fitness.tobytes() == np.array(reference, dtype=float).tobytes()
+
+    @given(candidate_stacks(), fitness_params)
+    # Complexity 0 and pool_size, and both objectives 0.
+    @example(([0.0, np.inf, 1.0, 0.5], [0, 4, 2, 4], 4), FitnessParams())
+    def test_candidate_fitness(self, stack, params):
+        mse, complexity, pool_size = stack
+        fitness = candidate_fitness(np.array(mse, dtype=float), np.array(complexity, dtype=int), pool_size, params)
+        reference = [reference_candidate_fitness(m, c, pool_size, params) for m, c in zip(mse, complexity)]
+        assert fitness.tobytes() == np.array(reference, dtype=float).tobytes()
+        for m, c, value in zip(mse, complexity, reference):
+            assert candidate_fitness(m, c, pool_size, params) == value
+
+
+REFERENCE = {
+    "combine": reference_combine,
+    "pseudo_accuracy": reference_pseudo_accuracy,
+    "candidate_fitness": reference_candidate_fitness,
+}
+
+
+@pytest.mark.parametrize(
+    "name, stack, scalar",
+    [
+        ("combine", ([0.5, 1.1, 2.0], [0.5, 0.5, 0.5], 1.0), (1.1, 0.5, 1.0)),
+        ("combine", ([0.5, np.nan], [0.5, 0.5], 1.0), (np.nan, 0.5, 1.0)),
+        ("combine", ([0.5, 0.5], [0.5, -0.1], 1.0), (0.5, -0.1, 1.0)),
+        ("pseudo_accuracy", ([0.1, -1e-9, -2.0], 2.0), (-1e-9, 2.0)),
+        ("candidate_fitness", ([0.1, -0.5], [1, 2], 10, FitnessParams()), (-0.5, 2, 10, FitnessParams())),
+        ("candidate_fitness", ([0.1, 0.2], [1, -1], 10, FitnessParams()), (0.2, -1, 10, FitnessParams())),
+        ("candidate_fitness", ([0.1, 0.2, 0.3], [3, 11, 12], 10, FitnessParams()), (0.2, 11, 10, FitnessParams())),
+    ],
+)
+def test_one_bad_entry_raises_the_scalar_error(name, stack, scalar):
+    """A stack with one bad entry fails as the reference's scalar call on
+    that entry does, and so does the package's scalar call."""
+    with pytest.raises(ValueError) as expected:
+        REFERENCE[name](*scalar)
+    message = f"^{re.escape(str(expected.value))}$"
+    with pytest.raises(ValueError, match=message):
+        getattr(rulemix.fitness, name)(*scalar)
+    with pytest.raises(ValueError, match=message):
+        getattr(rulemix.fitness, name)(*stack)
 
 
 def test_params_validation():

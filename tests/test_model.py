@@ -158,6 +158,10 @@ class TestRule:
             (dict(fitness=1.5), "fitness"),
             (dict(fitness=-0.1), "fitness"),
             (dict(fitness=np.nan), "fitness"),
+            (dict(experience=2.7), "experience must be an integer count"),
+            (dict(experience=True), "experience must be an integer count"),
+            (dict(experience=np.True_), "experience must be an integer count"),
+            (dict(experience=np.float64(3.0)), "experience must be an integer count"),
         ],
     )
     def test_statistics_out_of_range_rejected(self, statistics, message):

@@ -104,7 +104,7 @@ class TestFit:
         model = fit(data, quick_config(seed=4))
         table = RulePredictionTable.build(model.pool.rules, data.features)
         (mse,), (complexity,), (fitness,) = evaluate_candidate(
-            model.best.genome[None], model.pool, data, model.config.composition, table
+            model.best.genome[None], data, model.config.composition, table
         )
         assert mse == model.best.cached_mse
         assert complexity == model.best.cached_complexity
