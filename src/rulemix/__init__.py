@@ -6,25 +6,16 @@ submodel. An evolution strategy discovers rules one at a time around
 high-residual training examples; a genetic algorithm composes a small subset
 of the growing rule pool into the global model. Predictions mix the matching
 selected rules, weighted by experience over in-sample error.
+
+The public names are the ones a user calls: :func:`fit` and the
+:class:`Model` it returns, the configuration and model records, the errors,
+and the file functions. Everything else (the rule fitter, the fitness
+formulas, the genetic operators) is internal, and its module may change it.
 """
 
-from .composition import (
-    CompositionParams,
-    compose,
-    crossover_npoint,
-    evaluate_candidate,
-    mutate_bits,
-    rank_positions,
-    tournament_select,
-)
-from .discovery import (
-    DiscoveryParams,
-    discover_rule,
-    discover_rules,
-    initial_condition,
-    select_seed_example,
-)
-from .fitness import FitnessParams, candidate_fitness, combine, pseudo_accuracy, rule_fitness, volume_share
+from .composition import CompositionParams
+from .discovery import DiscoveryParams
+from .fitness import FitnessParams
 from .io import (
     ConfigError,
     DataError,
@@ -37,16 +28,7 @@ from .io import (
     load_model,
     save_model,
 )
-from .model import (
-    Dataset,
-    Pool,
-    Rule,
-    RuleFitter,
-    RulePredictionTable,
-    SolutionCandidate,
-    fit_rule,
-    solution_residuals,
-)
+from .model import Dataset, Pool, Rule, SolutionCandidate
 from .training import Model, PhaseMetrics, TrainingConfig, fit
 
 __version__ = "0.1.0"
@@ -63,33 +45,14 @@ __all__ = [
     "PhaseMetrics",
     "Pool",
     "Rule",
-    "RuleFitter",
-    "RulePredictionTable",
     "SolutionCandidate",
     "TrainingConfig",
-    "candidate_fitness",
-    "combine",
-    "compose",
     "config_from_flat",
     "config_to_flat",
-    "crossover_npoint",
-    "discover_rule",
-    "discover_rules",
-    "evaluate_candidate",
     "fit",
-    "fit_rule",
-    "initial_condition",
     "load_config",
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",
-    "mutate_bits",
-    "pseudo_accuracy",
-    "rank_positions",
-    "rule_fitness",
     "save_model",
-    "select_seed_example",
-    "solution_residuals",
-    "tournament_select",
-    "volume_share",
 ]

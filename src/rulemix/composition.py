@@ -81,10 +81,6 @@ def rank_positions(fitness: np.ndarray, complexity: np.ndarray) -> np.ndarray:
 def tournament_select(positions: np.ndarray, k: int, rng: np.random.Generator) -> int:
     """Draw ``k`` members uniformly with replacement and return the index of
     the one ranked first, given every member's :func:`rank_positions` place."""
-    if len(positions) == 0:
-        raise ValueError("population must be non-empty")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     draws = rng.integers(0, len(positions), size=k)
     return int(draws[positions[draws].argmin()])
 
@@ -104,11 +100,7 @@ def crossover_npoint(
     and segments alternate between the parents, so at every position the
     children jointly hold exactly the two parent bits.
     """
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"parents must be equal-length bit strings, got {a.shape} and {b.shape}")
     length = a.shape[0]
-    if not 1 <= n_points < length:
-        raise ValueError(f"n_points must lie in [1, {length - 1}], got {n_points}")
     if rng.random() >= crossover_prob:
         return a.copy(), b.copy()
     # Cut positions 1 .. length - 1: the same draws as choosing from that range.
@@ -122,8 +114,6 @@ def crossover_npoint(
 
 def mutate_bits(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit of the boolean ``genome`` independently with probability ``rate``."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
     return genome ^ (rng.random(genome.shape[0]) < rate)
 
 

@@ -57,8 +57,6 @@ def select_seed_example(data: Dataset, residuals: np.ndarray, rng: np.random.Gen
     Falls back to a uniform pick when every residual is zero.
     """
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.shape != (data.n_samples,):
-        raise ValueError(f"residuals must have shape ({data.n_samples},), got {residuals.shape}")
     weights = residuals**2
     total = weights.sum()
     if total <= 0.0:

@@ -13,7 +13,8 @@ import numpy as np
 @dataclass(frozen=True)
 class FitnessParams:
     """``alpha`` weighs accuracy against the second objective, ``beta`` sets
-    the slope of the error squashing."""
+    the slope of the error squashing. Both are positive, and ``alpha`` has a
+    finite square."""
 
     alpha: float = 0.5
     beta: float = 2.0
@@ -21,6 +22,9 @@ class FitnessParams:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not math.isfinite(self.alpha * self.alpha):  # combine squares it
+            limit = math.sqrt(np.finfo(float).max)
+            raise ValueError(f"alpha must have a finite square, at most {limit:.4g}; got {self.alpha!r}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
@@ -41,8 +45,6 @@ def combine(o1: float | np.ndarray, o2: float | np.ndarray, alpha: float) -> flo
     o1, o2 = np.asarray(o1, dtype=float), np.asarray(o2, dtype=float)
     _refuse_first(~((0.0 <= o1) & (o1 <= 1.0)), o1, "o1 must lie in [0, 1], got {}")
     _refuse_first(~((0.0 <= o2) & (o2 <= 1.0)), o2, "o2 must lie in [0, 1], got {}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     a2 = alpha * alpha
     denominator = a2 * o1 + o2
     out = np.zeros(denominator.shape)
@@ -54,8 +56,6 @@ def pseudo_accuracy(mse: float | np.ndarray, beta: float) -> float | np.ndarray:
     """Squash mean squared errors into [0, 1] via exp(-mse * beta)."""
     mse = np.asarray(mse, dtype=float)
     _refuse_first(mse < 0, mse, "mse must be non-negative")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     # math.exp, entry by entry: np.exp can differ from it in the last bit,
     # and every fitness lands in the model file.
     accuracies = (math.exp(-error * beta) for error in mse.ravel().tolist())
@@ -92,8 +92,6 @@ def candidate_fitness(
 ) -> float | np.ndarray:
     """Combined fitness of solution candidates from their in-sample MSE and
     the number of selected rules, normalized against the current pool size."""
-    if pool_size < 1:
-        raise ValueError("pool_size must be positive")
     complexity = np.asarray(complexity)
     _refuse_first(complexity < 0, complexity, "complexity must be non-negative")
     _refuse_first(complexity > pool_size, complexity, f"complexity {{}} exceeds pool size {pool_size}")

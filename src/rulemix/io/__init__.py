@@ -1,18 +1,11 @@
 """Dataset ingestion, run configuration, model persistence, and the CLI."""
 
-from .cli import cli, main
-from .config import (
-    ConfigError,
-    config_from_flat,
-    config_to_flat,
-    load_config,
-    parse_config_text,
-)
+from .cli import cli
+from .config import ConfigError, config_from_flat, config_to_flat, load_config
 from .dataio import DataError, load_csv_with_names, load_feature_matrix
-from .modelfile import FORMAT_VERSION, ModelFormatError, load_model, save_model
+from .modelfile import ModelFormatError, load_model, save_model
 
 __all__ = [
-    "FORMAT_VERSION",
     "ConfigError",
     "DataError",
     "ModelFormatError",
@@ -23,7 +16,5 @@ __all__ = [
     "load_csv_with_names",
     "load_feature_matrix",
     "load_model",
-    "main",
-    "parse_config_text",
     "save_model",
 ]

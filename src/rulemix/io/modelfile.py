@@ -46,9 +46,10 @@ def save_model(model: Model, path: str) -> None:
         },
         "history": [_fields(entry) for entry in model.history],
     }
+    # Serialise first: a model holding a non-finite number raises here, before ``path`` is opened.
+    text = json.dumps(document, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _require(mapping: dict[str, Any], key: str, context: str) -> Any:

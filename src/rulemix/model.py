@@ -174,16 +174,16 @@ class RuleFitter:
     comes from real residuals of its submodel on its matched rows, never
     from those sums.
 
-    ``w`` is centered on the mean of the rows every box matches. A box
-    containing those rows has a mean no farther from it than its own spread
-    allows, so removing the box mean from the sums loses no more than a
-    factor of rows-per-shared-row in precision. Boxes with no row in common
-    are fitted one at a time.
+    The non-empty boxes of one call must share a matched row, as the
+    children of a discovery iteration share their parent's seed row; a call
+    whose non-empty boxes share none raises ``ValueError``. ``w`` is
+    centered on the mean of the shared rows. A box containing those rows has
+    a mean no farther from it than its own spread allows, so removing the
+    box mean from the sums loses no more than a factor of
+    rows-per-shared-row in precision.
     """
 
     def __init__(self, data: Dataset, ridge_lambda: float):
-        if ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
         self.data = data
         self.ridge_lambda = float(ridge_lambda)
         # Feature-major copy: each bound test reads one contiguous column.
@@ -213,22 +213,18 @@ class RuleFitter:
         coefficients = np.zeros((counts.shape[0], self.data.n_features))
         intercepts = np.zeros(counts.shape[0])
         errors = np.full(counts.shape[0], np.inf)
-        fits = self._ridge(masks, X, y)
-        coefficients[fitted], intercepts[fitted] = fits
-        errors[fitted] = self._squared_errors(masks, X, y, *fits) / matched
+        if fitted.size:
+            fits = self._ridge(masks, X, y)
+            coefficients[fitted], intercepts[fitted] = fits
+            errors[fitted] = self._squared_errors(masks, X, y, *fits) / matched
         return counts, coefficients, intercepts, errors
 
     def _ridge(self, masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ridge fits of non-empty boxes given by ``masks`` over the
-        feature-major rows ``X`` and targets ``y``."""
+        """Ridge fits of non-empty boxes that share a row, given by ``masks``
+        over the feature-major rows ``X`` and targets ``y``."""
         shared = masks.all(axis=0)
         if not shared.any():
-            # No row in common, or no box at all: fit each box alone.
-            coefficients = np.empty((masks.shape[0], X.shape[0]))
-            intercepts = np.empty(masks.shape[0])
-            for k, mask in enumerate(masks):
-                (coefficients[k],), (intercepts[k],) = self._ridge(mask[None, mask], X[:, mask], y[mask])
-            return coefficients, intercepts
+            raise ValueError("the non-empty boxes of one fit must share a matched row")
         d = X.shape[0]
         w = np.empty((d + 2, X.shape[1]))
         w[0], w[1:-1], w[-1] = 1.0, X, y
@@ -437,7 +433,5 @@ def solution_residuals(candidate: SolutionCandidate, pool: Pool, data: Dataset) 
     Inputs matched by no selected rule fall back to the training-target mean,
     so an empty candidate leaves residuals centered on that mean.
     """
-    if candidate.genome.shape[0] != len(pool):
-        raise ValueError(f"genome length {candidate.genome.shape[0]} does not match pool size {len(pool)}")
     table = RulePredictionTable.build(pool.rules, data.features)
     return data.targets - table.mixed(candidate.genome[None], data.target_mean)[0]

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import rulemix as rm
+from rulemix.composition import compose, evaluate_candidate
+from rulemix.discovery import discover_rule, initial_condition
+from rulemix.fitness import combine, pseudo_accuracy, volume_share
 from rulemix.io.cli import cli
-from rulemix.model import RulePredictionTable
+from rulemix.model import RulePredictionTable, fit_rule
 
 from conftest import grow_condition, rig_scorer
 
@@ -58,12 +61,12 @@ def test_criterion_01_fitness_identities():
         for _ in range(1000):
             v = float(rng.uniform(0.0, 1.0))
             alpha = float(rng.uniform(0.05, 5.0))
-            assert abs(rm.combine(v, v, alpha) - v) <= 1e-12
+            assert abs(combine(v, v, alpha) - v) <= 1e-12
         for o1 in np.linspace(0.0, 1.0, 11):
-            assert rm.combine(float(o1), 0.0, 1.0) == 0.0
+            assert combine(float(o1), 0.0, 1.0) == 0.0
         grid = np.linspace(0.0, 1.0, 50)
         for alpha in (0.5, 1.0, 2.0):
-            values = np.array([[rm.combine(float(a), float(b), alpha) for b in grid] for a in grid])
+            values = np.array([[combine(float(a), float(b), alpha) for b in grid] for a in grid])
             assert np.all(np.diff(values, axis=0) >= 0.0)  # monotone in o1
             assert np.all(np.diff(values, axis=1) >= 0.0)  # monotone in o2
 
@@ -74,8 +77,8 @@ def test_criterion_02_pseudo_accuracy():
         for _ in range(1000):
             mse = float(rng.uniform(0.0, 20.0))
             beta = float(rng.uniform(0.1, 5.0))
-            assert abs(rm.pseudo_accuracy(mse, beta) - math.exp(-mse * beta)) <= 1e-12
-        values = [rm.pseudo_accuracy(m, 2.0) for m in np.linspace(0.0, 8.0, 200)]
+            assert abs(pseudo_accuracy(mse, beta) - math.exp(-mse * beta)) <= 1e-12
+        values = [pseudo_accuracy(m, 2.0) for m in np.linspace(0.0, 8.0, 200)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -87,13 +90,13 @@ def test_criterion_03_volume_monotone_under_growth():
             d = int(rng.integers(1, 5))
             X = rng.uniform(-3.0, 3.0, size=(30, d))
             data = rm.Dataset(X, rng.normal(size=30))
-            assert rm.volume_share(*data.feature_bounds.T, data.feature_bounds) == 1.0
+            assert volume_share(*data.feature_bounds.T, data.feature_bounds) == 1.0
             x = X[int(rng.integers(0, 30))]
-            cond = rm.initial_condition(x, data, 0.1, rng)
-            previous = rm.volume_share(*cond, data.feature_bounds)
+            cond = initial_condition(x, data, 0.1, rng)
+            previous = volume_share(*cond, data.feature_bounds)
             for _ in range(8):
                 cond = grow_condition(cond, data, float(rng.uniform(0.01, 0.3)), rng)
-                current = rm.volume_share(*cond, data.feature_bounds)
+                current = volume_share(*cond, data.feature_bounds)
                 assert current >= previous
                 previous = current
             chains += 1
@@ -112,7 +115,7 @@ def test_criterion_04_ridge_normal_equation_oracle():
             y = rng.normal(size=n)
             lam = lambdas[case % 3]
             data = rm.Dataset(X, y)
-            rule = rm.fit_rule(*data.feature_bounds.T, data, lam)
+            rule = fit_rule(*data.feature_bounds.T, data, lam)
             # oracle: augmented design matrix, intercept left unpenalized
             Xa = np.column_stack([np.ones(n), X])
             penalty = lam * np.eye(d + 1)
@@ -131,7 +134,7 @@ def _ten_rule_pool():
     rules = []
     while len(rules) < 10:
         x = data.features[int(rng.integers(0, data.n_samples))]
-        rule = rm.fit_rule(*rm.initial_condition(x, data, 0.4, rng), data, 0.01)
+        rule = fit_rule(*initial_condition(x, data, 0.4, rng), data, 0.01)
         if not rule.is_degenerate:
             rules.append(rule)
     return rm.Pool(rules), data
@@ -143,11 +146,11 @@ def test_criterion_05_ga_matches_brute_force():
         params = rm.CompositionParams(population_size=64, generations_per_phase=200)
         table = RulePredictionTable.build(pool.rules, data.features)
         genomes = np.array(list(itertools.product([False, True], repeat=10)))
-        _, _, fitness = rm.evaluate_candidate(genomes, data, params, table)
+        _, _, fitness = evaluate_candidate(genomes, data, params, table)
         optimum = fitness.max()
         near, exact = 0, 0
         for seed in range(10):
-            best, _ = rm.compose(pool, data, params, np.random.default_rng(seed))
+            best, _ = compose(pool, data, params, np.random.default_rng(seed))
             if best.cached_fitness >= 0.95 * optimum:
                 near += 1
             if best.cached_fitness == optimum:
@@ -168,7 +171,7 @@ def test_criterion_06_stall_window_termination(monkeypatch):
 
         rig_scorer(monkeypatch, rigged)
         params = rm.DiscoveryParams(lambda_=lam, delta=delta, max_iter=500)
-        returned = rm.discover_rule(data, np.ones(200), params, np.random.default_rng(5))
+        returned = discover_rule(data, np.ones(200), params, np.random.default_rng(5))
         assert max(calls) == t + delta  # stopped exactly at iteration t+3
         assert len(calls) == 1 + (t + delta) * lam
         assert returned.fitness == 1.0  # the iteration-t elitist

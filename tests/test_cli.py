@@ -397,6 +397,18 @@ class TestExitCodes:
         assert "rng_seed" in single_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("key", ["alpha_rule", "alpha_candidate"])
+    def test_alpha_with_an_infinite_square_is_config_error(self, workspace, capsys, key):
+        # The fitness formula squares alpha: 1e200 would make every fitness NaN.
+        tmp_path, train, config = workspace
+        with open(config, "a", encoding="utf-8") as handle:
+            handle.write(f"{key} = 1e200\n")
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)]) == 1
+        line = single_error_line(capsys)
+        assert "Traceback" not in line and "alpha must have a finite square" in line
+        assert not out.exists()
+
     def test_negative_cv_seed_is_usage_error(self, workspace, capsys):
         _, train, config = workspace
         assert cli(["cv", "--data", train, "--target", "y", "--config", config, "--folds", "2", "--seed", "-1"]) == 1

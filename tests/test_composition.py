@@ -6,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulemix.composition
-from rulemix import (
-    CompositionParams,
-    Dataset,
-    Pool,
-    SolutionCandidate,
+from rulemix import CompositionParams, Dataset, Pool, SolutionCandidate
+from rulemix.composition import (
     compose,
     crossover_npoint,
     evaluate_candidate,
-    fit_rule,
-    initial_condition,
     mutate_bits,
     rank_positions,
     tournament_select,
 )
-from rulemix.model import RulePredictionTable
+from rulemix.discovery import initial_condition
+from rulemix.model import RulePredictionTable, fit_rule
 
 from conftest import linear_dataset, reference_candidate_fitness
 
@@ -290,10 +286,6 @@ class TestMutateBits:
         flipped = mutate_bits(genome, 0.5, np.random.default_rng(4)).sum()
         sigma = np.sqrt(1000 * 0.25)
         assert abs(flipped - 500) <= 3 * sigma
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            mutate_bits(np.zeros(3, bool), 1.5, np.random.default_rng(0))
 
 
 class TestCompose:
@@ -586,3 +578,11 @@ def test_composition_params_validation():
         CompositionParams(crossover_prob=1.5)
     with pytest.raises(ValueError):
         CompositionParams(mutation_rate=-0.1)
+    with pytest.raises(ValueError):
+        CompositionParams(mutation_rate=1.5)
+    with pytest.raises(ValueError):
+        CompositionParams(population_size=0)
+    with pytest.raises(ValueError):
+        CompositionParams(tournament_k=0)
+    with pytest.raises(ValueError):
+        CompositionParams(crossover_points=0)

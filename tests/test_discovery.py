@@ -8,22 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rulemix.discovery
-from rulemix import (
-    Dataset,
-    DiscoveryParams,
-    FitnessParams,
-    RuleFitter,
-    combine,
-    discover_rule,
-    discover_rules,
-    fit_rule,
-    initial_condition,
-    pseudo_accuracy,
-    rule_fitness,
-    select_seed_example,
-    volume_share,
-)
-from rulemix.discovery import _grown_bounds
+from rulemix import Dataset, DiscoveryParams, FitnessParams
+from rulemix.discovery import _grown_bounds, discover_rule, discover_rules, initial_condition, select_seed_example
+from rulemix.fitness import combine, pseudo_accuracy, rule_fitness, volume_share
+from rulemix.model import RuleFitter, fit_rule
 
 from conftest import abs_dataset, fit_boxes, grow_condition, linear_dataset, matches, rig_scorer, rules_equal
 
@@ -57,11 +45,6 @@ class TestSelectSeedExample:
         )
         sigma = np.sqrt(expected * (1 - expected) / draws)
         assert abs(hits / draws - expected) <= 3 * sigma
-
-    def test_wrong_length_rejected(self):
-        data = linear_dataset(n=5, noise=0.0)
-        with pytest.raises(ValueError):
-            select_seed_example(data, np.zeros(4), np.random.default_rng(0))
 
 
 class TestInitialCondition:

@@ -8,17 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulemix.model
-from rulemix import (
-    Dataset,
-    Pool,
-    Rule,
-    RuleFitter,
-    SolutionCandidate,
-    fit_rule,
-    solution_residuals,
-)
+from rulemix import Dataset, Pool, Rule, SolutionCandidate
 from rulemix.discovery import _grown_bounds
-from rulemix.model import RulePredictionTable, match_masks
+from rulemix.model import RuleFitter, RulePredictionTable, fit_rule, match_masks, solution_residuals
 
 from conftest import (
     box_ridge,
@@ -294,11 +286,6 @@ class TestFitRule:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_negative_lambda_rejected(self):
-        data = Dataset([[0.0], [1.0]], [0.0, 2.0])
-        with pytest.raises(ValueError):
-            fit_rule([0.0], [1.0], data, -1.0)
-
     def test_experience_counts_matched_examples(self):
         data = linear_dataset(n=50, noise=0.0)
         cond = ([-0.5], [0.5])
@@ -334,6 +321,12 @@ class TestRuleFitter:
         return conditions
 
     @staticmethod
+    def fit_each(fitter, conditions):
+        """One rule per box, each from its own call: boxes that need not
+        share a row cannot share a call."""
+        return [rule for condition in conditions for rule in fit_boxes(fitter, [condition])]
+
+    @staticmethod
     def assert_matches_oracle(data, conditions, rules, ridge_lambda):
         for (lower, upper), rule in zip(conditions, rules):
             experience, coefficients, intercept, mse = box_ridge(data, lower, upper, ridge_lambda)
@@ -354,10 +347,11 @@ class TestRuleFitter:
         data = Dataset(X, X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 120))
         conditions = self.boxes(data, rng)
         fitter = RuleFitter(data, ridge_lambda)
-        rules = fit_boxes(fitter, conditions)
+        rules = self.fit_each(fitter, conditions)
         assert [rule.experience for rule in rules[-3:]] == [0, 1, 120]
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
-        nested = self.nested_boxes(data, rng)
+        # One stack of nested boxes, with an empty box among them.
+        nested = [*self.nested_boxes(data, rng), conditions[-3]]
         self.assert_matches_oracle(data, nested, fit_boxes(fitter, nested), ridge_lambda)
         assert fit_boxes(fitter, []) == []
         assert fit_boxes(fitter, conditions[-3:-2])[0].is_degenerate
@@ -391,9 +385,12 @@ class TestRuleFitter:
         data = Dataset(X, y)
         pairs = [(i % len(X), j % len(X)) for i, j in pairs]
         conditions = [(np.minimum(X[i], X[j]), np.maximum(X[i], X[j])) for i, j in pairs]
-        conditions.append((data.feature_bounds[:, 0], data.feature_bounds[:, 1]))
-        rules = fit_boxes(RuleFitter(data, ridge_lambda), conditions)
-        self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
+        full = (data.feature_bounds[:, 0], data.feature_bounds[:, 1])
+        fitter = RuleFitter(data, ridge_lambda)
+        # Every box lies inside the full box: each with it is a nested stack.
+        for condition in [full, *conditions]:
+            stack = [condition, full]
+            self.assert_matches_oracle(data, stack, fit_boxes(fitter, stack), ridge_lambda)
 
     @pytest.mark.parametrize("shape", ["random", "nested"])
     def test_row_chunks_match_one_pass(self, monkeypatch, shape):
@@ -401,9 +398,10 @@ class TestRuleFitter:
         X = rng.uniform(-1.0, 1.0, size=(97, 2))
         data = Dataset(X, np.abs(X[:, 0]) + X[:, 1])
         conditions = self.boxes(data, rng) if shape == "random" else self.nested_boxes(data, rng)
-        one_pass = fit_boxes(RuleFitter(data, 0.01), conditions)
+        fit = self.fit_each if shape == "random" else fit_boxes
+        one_pass = fit(RuleFitter(data, 0.01), conditions)
         monkeypatch.setattr(rulemix.model, "PRODUCT_FLOATS", 50)  # 5-row chunks
-        chunked = fit_boxes(RuleFitter(data, 0.01), conditions)
+        chunked = fit(RuleFitter(data, 0.01), conditions)
         for a, b in zip(one_pass, chunked):
             assert a.experience == b.experience
             np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
@@ -419,7 +417,10 @@ class TestRuleFitter:
         conditions = [(row, row) for row in data.features[:5]]
         hi, width = data.feature_bounds[:, 1], np.ptp(data.features, axis=0)
         conditions += [(hi - share * width, hi) for share in (0.5, 0.8)]
-        rules = fit_boxes(RuleFitter(data, 0.01), conditions)
+        fitter = RuleFitter(data, 0.01)
+        # The one-row boxes share no row, so each gets its own call; the two
+        # boxes at the top of the range nest and share one.
+        rules = self.fit_each(fitter, conditions[:5]) + fit_boxes(fitter, conditions[5:])
         for (lower, upper), rule in zip(conditions, rules):
             experience, coefficients, intercept, mse = box_ridge(data, lower, upper, 0.01)
             assert rule.experience == experience
@@ -496,6 +497,17 @@ class TestRuleFitter:
         data = Dataset([[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0])
         with pytest.raises(ValueError):
             RuleFitter(data, 0.01).fit(np.array([[0.0]]), np.array([[1.0]]))
+
+    def test_non_empty_boxes_must_share_a_row(self):
+        # Discovery's boxes all hold their seed row; empty boxes are set aside first.
+        fitter = RuleFitter(linear_dataset(n=20, noise=0.0), 0.01)
+        left, right, empty = ([-1.0], [-0.5]), ([0.5], [1.0]), ([2.0], [3.0])
+        for boxes in ([left, right], [left, empty, right]):
+            with pytest.raises(ValueError, match="share a matched row"):
+                fitter.fit(*stacked(boxes, 1))
+        counts, coefficients, intercepts, errors = fitter.fit(*stacked([empty, empty], 1))
+        assert counts.tolist() == [0, 0] and errors.tolist() == [np.inf, np.inf]
+        assert not coefficients.any() and not intercepts.any()
 
 
 class TestRuleFitterBits:
@@ -608,7 +620,7 @@ class TestPredictMixed:
     def test_genome_pool_size_mismatch(self):
         pool = self._pool(make_rule([0.0], [1.0], [0.0], 1.0))
         data = Dataset([[0.5]], [0.0])
-        with pytest.raises(ValueError, match="does not match pool size"):
+        with pytest.raises(ValueError, match="stack of selections over 1 rules"):
             solution_residuals(self._candidate([1, 0]), pool, data)
 
     def test_mix_is_convex_combination(self):

@@ -94,6 +94,17 @@ class TestRoundTrip:
         save_model(loaded, str(second))
         assert second.read_bytes() == Path(path).read_bytes()
 
+    def test_unserialisable_model_leaves_the_file_as_it_was(self, trained, tmp_path):
+        _, model, path = trained
+        broken = replace(model, default_prediction=float("nan"))
+        existing, missing = tmp_path / "existing.json", tmp_path / "missing.json"
+        existing.write_bytes(Path(path).read_bytes())
+        for target in (existing, missing):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                save_model(broken, str(target))
+        assert existing.read_bytes() == Path(path).read_bytes()
+        assert not missing.exists()
+
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "model_v2.json"
 

@@ -13,12 +13,11 @@ from rulemix import (
     Rule,
     SolutionCandidate,
     TrainingConfig,
-    evaluate_candidate,
     fit,
     save_model,
-    solution_residuals,
 )
-from rulemix.model import RulePredictionTable
+from rulemix.composition import evaluate_candidate
+from rulemix.model import RulePredictionTable, solution_residuals
 from rulemix.training import EARLY_STOP_PHASES
 
 from conftest import linear_dataset, predict_mixed
