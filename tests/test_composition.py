@@ -287,6 +287,12 @@ class TestMutateBits:
         sigma = np.sqrt(1000 * 0.25)
         assert abs(flipped - 500) <= 3 * sigma
 
+    def test_bad_rate_rejected(self):
+        # mutate_bits takes its rate only from CompositionParams, which
+        # refuses a rate outside [0, 1] before any genome is mutated.
+        with pytest.raises(ValueError):
+            CompositionParams(mutation_rate=1.5)
+
 
 class TestCompose:
     def test_single_rule_pool_matches_two_genome_enumeration(self):
@@ -578,8 +584,6 @@ def test_composition_params_validation():
         CompositionParams(crossover_prob=1.5)
     with pytest.raises(ValueError):
         CompositionParams(mutation_rate=-0.1)
-    with pytest.raises(ValueError):
-        CompositionParams(mutation_rate=1.5)
     with pytest.raises(ValueError):
         CompositionParams(population_size=0)
     with pytest.raises(ValueError):
