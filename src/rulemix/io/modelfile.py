@@ -86,6 +86,13 @@ def _float_vector(value: Any, context: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _list(mapping: dict[str, Any], key: str) -> list:
+    value = _require(mapping, key, "")
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{key} must be a list")
+    return value
+
+
 def _vector(mapping: dict[str, Any], key: str, context: str) -> np.ndarray:
     return _float_vector(_require(mapping, key, context), f"{context}{key!r}")
 
@@ -115,7 +122,10 @@ def _fields(record: Any) -> dict[str, Any]:
 def _read(record: type, entry: Any, context: str) -> Any:
     """A ``record`` from the JSON object ``entry``, each field read by its
     declared type."""
-    return record(*(read(entry, name, context) for name, read in _SCHEMAS[record]))
+    try:
+        return record(*(read(entry, name, context) for name, read in _SCHEMAS[record]))
+    except ValueError as exc:
+        raise ModelFormatError(f"{context}is invalid: {exc}") from exc
 
 
 def _reject_constant(token: str) -> Any:
@@ -148,79 +158,29 @@ def load_model(path: str) -> Model:
     except ConfigError as exc:
         raise ModelFormatError(f"bad config snapshot: {exc}") from exc
 
-    bounds_raw = _require(document, "feature_bounds", "")
-    if not isinstance(bounds_raw, list) or not bounds_raw:
-        raise ModelFormatError("feature_bounds must be a non-empty list of [min, max] pairs")
-    bounds_rows = []
-    for pair in bounds_raw:
-        row = _float_vector(pair, "feature_bounds entry")
-        if row.shape != (2,) or row[0] > row[1]:
-            raise ModelFormatError("feature_bounds entries must be [min, max] pairs with min <= max")
-        bounds_rows.append(row)
-    feature_bounds = np.vstack(bounds_rows)
-    n_features = feature_bounds.shape[0]
-
-    rules_raw = _require(document, "rules", "")
-    if not isinstance(rules_raw, list):
-        raise ModelFormatError("rules must be a list")
-    rules = []
-    for k, entry in enumerate(rules_raw):
-        try:
-            rule = _read(Rule, entry, f"rule {k} ")
-        except ValueError as exc:
-            raise ModelFormatError(f"rule {k} is invalid: {exc}") from exc
-        if rule.lower.shape != (n_features,):
-            raise ModelFormatError(f"rule {k} vectors must have length {n_features}")
-        rules.append(rule)
-
-    best_raw = _require(document, "best", "")
-    genome_text = _require(best_raw, "genome", "best ")
-    if not isinstance(genome_text, str) or set(genome_text) - {"0", "1"}:
+    best = _require(document, "best", "")
+    genome = _require(best, "genome", "best ")
+    if not isinstance(genome, str) or set(genome) - {"0", "1"}:
         raise ModelFormatError("best genome must be a string of 0s and 1s")
-    if len(genome_text) != len(rules):
-        raise ModelFormatError(
-            f"best genome length {len(genome_text)} does not match rule count {len(rules)}"
-        )
-    genome = np.array([bit == "1" for bit in genome_text], dtype=bool)
+    rules = [_read(Rule, entry, f"rule {k} ") for k, entry in enumerate(_list(document, "rules"))]
+    history = [_read(PhaseMetrics, entry, f"history {i} ") for i, entry in enumerate(_list(document, "history"))]
+    names = document.get("feature_names")
+    # Pool, SolutionCandidate and Model check how the values relate.
     try:
-        best = SolutionCandidate(
-            genome,
-            _number(best_raw, "mse", "best "),
-            _count(best_raw, "complexity", "best "),
-            _number(best_raw, "fitness", "best "),
+        return Model(
+            pool=Pool(rules),
+            best=SolutionCandidate(
+                np.array([bit == "1" for bit in genome], dtype=bool),
+                _number(best, "mse", "best "),
+                _count(best, "complexity", "best "),
+                _number(best, "fitness", "best "),
+            ),
+            default_prediction=_number(document, "default_prediction", ""),
+            feature_bounds=[_float_vector(pair, "feature_bounds entry") for pair in _list(document, "feature_bounds")],
+            config=config,
+            history=tuple(history),
+            target_column=document.get("target_column"),
+            feature_names=tuple(names) if isinstance(names, list) else names,
         )
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"best candidate is invalid: {exc}") from exc
-
-    history_raw = _require(document, "history", "")
-    if not isinstance(history_raw, list):
-        raise ModelFormatError("history must be a list")
-    history = tuple(_read(PhaseMetrics, entry, f"history {i} ") for i, entry in enumerate(history_raw))
-
-    target_column = document.get("target_column")
-    if target_column is not None and not isinstance(target_column, str):
-        raise ModelFormatError("target_column must be a string or null")
-    feature_names = document.get("feature_names")
-    if feature_names is not None:
-        if (
-            not isinstance(feature_names, list)
-            or len(feature_names) != n_features
-            or not all(isinstance(name, str) for name in feature_names)
-        ):
-            raise ModelFormatError(f"feature_names must be null or a list of {n_features} strings")
-        feature_names = tuple(feature_names)
-
-    try:
-        pool = Pool(rules)
     except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
-    return Model(
-        pool=pool,
-        best=best,
-        default_prediction=_number(document, "default_prediction", ""),
-        feature_bounds=feature_bounds,
-        config=config,
-        history=history,
-        target_column=target_column,
-        feature_names=feature_names,
-    )
+        raise ModelFormatError(f"{path} holds an invalid model: {exc}") from exc

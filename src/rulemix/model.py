@@ -74,11 +74,9 @@ def match_masks(lowers: np.ndarray, uppers: np.ndarray, columns: np.ndarray) -> 
     feature-major matrix ``columns`` (one row per feature).
 
     Every bound test reads one contiguous column, and all boxes are tested
-    against it at once.
+    against it at once. The stacks must have one bound per column; that is
+    not checked here.
     """
-    d = columns.shape[0]
-    if lowers.shape[1:] != (d,) or uppers.shape != lowers.shape:
-        raise ValueError(f"bounds must have {d} features, one per input column")
     masks = np.ones((lowers.shape[0], columns.shape[1]), dtype=bool)
     for j, column in enumerate(columns):
         masks &= lowers[:, j, None] <= column
@@ -309,7 +307,9 @@ class Pool:
     """Append-only archive of discovered rules.
 
     Insertion order is stable and rules are never removed or modified, so the
-    index of a rule stays valid for every genome that references it.
+    index of a rule stays valid for every genome that references it. A pool
+    refuses degenerate rules; the :class:`~rulemix.training.Model` that holds
+    it checks that every rule spans its features.
     """
 
     def __init__(self, rules: Sequence[Rule] = ()):
@@ -319,11 +319,6 @@ class Pool:
     def append(self, rule: Rule) -> None:
         if rule.is_degenerate:
             raise ValueError("degenerate rules cannot enter the pool")
-        if self._rules and rule.lower.shape != self._rules[0].lower.shape:
-            raise ValueError(
-                f"a rule over {rule.lower.shape[0]} features cannot join a pool of rules "
-                f"over {self._rules[0].lower.shape[0]}"
-            )
         self._rules.append(rule)
 
     def extend(self, rules: Sequence[Rule]) -> None:
@@ -388,17 +383,25 @@ class RulePredictionTable:
 
     @classmethod
     def build(cls, rules: Sequence[Rule], X: np.ndarray) -> "RulePredictionTable":
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"expected a 2-D input matrix, got shape {X.shape}")
+        """The table of ``rules`` over the float (rows x d) matrix ``X``,
+        whose width the caller has checked against the rules'.
+
+        A rule's prediction on a finite row far outside its box may overflow;
+        its entry there is 0 all the same, and no warning is raised.
+        """
         masks = match_masks(*rule_bounds(rules, X.shape[1]), np.ascontiguousarray(X.T))
         predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
-        for k, rule in enumerate(rules):
-            predictions[k] = X @ rule.coefficients + rule.intercept
         experience, errors = np.array([(rule.experience, rule.in_sample_error) for rule in rules]).reshape(-1, 2).T
         weights = experience / (errors + MIXING_EPSILON)
         weighted_masks = weights[:, None] * masks
-        predictions *= weighted_masks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, rule in enumerate(rules):
+                predictions[k] = X @ rule.coefficients + rule.intercept
+            predictions *= weighted_masks
+        if not np.isfinite(predictions).all():
+            # Off its box a rule's entry is 0 * prediction, a 0 of the
+            # prediction's sign; where the prediction overflowed, a 0 too.
+            np.copysign(0.0, predictions, out=predictions, where=~masks)
         return cls(weighted_masks, predictions)
 
     def mixed(self, selections: np.ndarray, default: float) -> np.ndarray:

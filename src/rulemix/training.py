@@ -60,7 +60,16 @@ class Model:
     prediction for inputs no selected rule matches.
 
     ``target_column`` and ``feature_names`` are optional metadata recorded
-    when training ran from a CSV file.
+    when training ran from a CSV file. A model checks the relations between
+    its parts when it is built, ``dataclasses.replace`` included, and raises
+    ``ValueError`` naming the part that breaks one:
+
+    - ``feature_bounds`` is a non-empty (d x 2) stack of finite ``[min,
+      max]`` pairs with min <= max;
+    - every pool rule spans d features;
+    - the best genome has one bit per pool rule;
+    - ``target_column`` is ``None`` or a ``str``;
+    - ``feature_names`` is ``None`` or a tuple of d strings.
     """
 
     pool: Pool
@@ -71,6 +80,30 @@ class Model:
     history: tuple[PhaseMetrics, ...]
     target_column: Optional[str] = None
     feature_names: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        try:
+            bounds = np.asarray(self.feature_bounds, dtype=float)
+        except ValueError:  # rows of unequal length
+            bounds = np.empty(0)
+        if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
+            raise ValueError("feature_bounds must be a non-empty (d x 2) stack of [min, max] pairs")
+        if not np.isfinite(bounds).all() or (bounds[:, 0] > bounds[:, 1]).any():
+            raise ValueError("feature_bounds must hold finite [min, max] pairs with min <= max")
+        d = bounds.shape[0]
+        for k, rule in enumerate(self.pool):
+            if rule.lower.shape != (d,):
+                raise ValueError(f"rule {k} vectors must have length {d}")
+        if self.best.genome.shape != (len(self.pool),):
+            raise ValueError(f"best genome length {self.best.genome.size} does not match pool size {len(self.pool)}")
+        if not isinstance(self.target_column, (str, type(None))):
+            raise ValueError(f"target_column must be None or a str, got {self.target_column!r}")
+        names = self.feature_names
+        if names is not None and not (
+            isinstance(names, tuple) and len(names) == d and all(isinstance(name, str) for name in names)
+        ):
+            raise ValueError(f"feature_names must be None or a tuple of {d} strings, got {names!r}")
+        object.__setattr__(self, "feature_bounds", bounds)
 
     @property
     def n_features(self) -> int:

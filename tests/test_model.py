@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulemix.model
-from rulemix import Dataset, Pool, Rule, SolutionCandidate
+from rulemix import Dataset, Model, Pool, Rule, SolutionCandidate, TrainingConfig
 from rulemix.discovery import _grown_bounds
 from rulemix.model import RuleFitter, RulePredictionTable, fit_rule, match_masks, solution_residuals
 
@@ -215,23 +215,6 @@ class TestMatchMasks:
             conditions.append((low, high))
         masks = self.check(conditions, X)
         assert 0 < masks.sum() < masks.size
-
-    # Three 2-wide boxes hold as many bounds as two 3-wide ones, so only the
-    # width check stops them from being read as boxes over three columns.
-    def test_wrong_width_condition_rejected(self):
-        conditions = [([0.0, 0.0], [1.0, 1.0])] * 3
-        with pytest.raises(ValueError, match="3 features"):
-            match_masks(*stacked(conditions, 2), np.zeros((3, 5)))
-
-    def test_table_of_wrong_width_rejected(self):
-        rules = [make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0)] * 3
-        with pytest.raises(ValueError, match="3 features"):
-            RulePredictionTable.build(rules, np.zeros((4, 3)))
-
-    def test_table_of_non_matrix_rejected(self):
-        rule = make_rule([0.0], [1.0], [1.0], 0.0)
-        with pytest.raises(ValueError):
-            RulePredictionTable.build([rule], np.zeros(4))
 
 
 class TestFitRule:
@@ -492,11 +475,6 @@ class TestRuleFitter:
             np.testing.assert_allclose(rule.coefficients, coefficients, rtol=1e-8, atol=1e-12)
             assert rule.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-12)
             assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
-
-    def test_wrong_width_condition_rejected(self):
-        data = Dataset([[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0])
-        with pytest.raises(ValueError):
-            RuleFitter(data, 0.01).fit(np.array([[0.0]]), np.array([[1.0]]))
 
     def test_non_empty_boxes_must_share_a_row(self):
         # Discovery's boxes all hold their seed row; empty boxes are set aside first.
@@ -824,12 +802,12 @@ class TestPool:
             pool.append(degenerate)
 
     def test_rule_of_another_width_rejected(self):
-        pool = Pool([make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0)])
-        with pytest.raises(ValueError, match="1 features .* over 2"):
-            pool.append(make_rule([0.0], [1.0], [1.0], 0.0))
-        with pytest.raises(ValueError, match="1 features .* over 2"):
-            Pool([pool[0], make_rule([0.0], [1.0], [1.0], 0.0)])
-        assert len(pool) == 1
+        # A pool holds rules of any width; the model holding it checks them
+        # against its feature bounds.
+        pool = Pool([make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0), make_rule([0.0], [1.0], [1.0], 0.0)])
+        best = SolutionCandidate(np.zeros(2, dtype=bool), 0.0, 0, 0.0)
+        with pytest.raises(ValueError, match="rule 1 vectors must have length 2"):
+            Model(pool, best, 0.0, np.array([[0.0, 1.0], [0.0, 1.0]]), TrainingConfig(), ())
 
     def test_rules_view_is_tuple(self):
         pool = Pool([make_rule([0.0], [1.0], [1.0], 0.0)])

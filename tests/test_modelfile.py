@@ -146,7 +146,7 @@ class TestFormatErrors:
     def test_genome_length_mismatch(self, trained, tmp_path):
         _, _, path = trained
         document = read_document(path)
-        document["best"]["genome"] += "1"
+        document["best"]["genome"] += "0"  # the popcount still matches
         broken = tmp_path / "genome.json"
         broken.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="genome length"):

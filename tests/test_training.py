@@ -235,7 +235,62 @@ class TestFittable:
             fit(Dataset(1e-160 * X, 1e150 * y), quick_config(discovery=DiscoveryParams(ridge_lambda=0.0)))
 
 
+@pytest.fixture(scope="module")
+def abs_model():
+    """A fit of y = 3|x| on 200 rows of x in [-1, 1]."""
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(200, 1))
+    return fit(Dataset(X, 3.0 * np.abs(X[:, 0])), quick_config())
+
+
+class TestModelParts:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda model: dict(feature_names=()), "feature_names must be None or a tuple of 1 strings"),
+            (lambda model: dict(target_column=3), "target_column must be None or a str"),
+            (lambda model: dict(feature_bounds=model.feature_bounds[:, ::-1]), "feature_bounds must hold"),
+            (
+                lambda model: dict(feature_bounds=np.tile(model.feature_bounds, (2, 1))),
+                "rule 0 vectors must have length 2",
+            ),
+            (
+                lambda model: dict(best=SolutionCandidate(np.zeros(len(model.pool) - 1, dtype=bool), 0.0, 0, 0.0)),
+                "best genome length",
+            ),
+            (lambda model: dict(feature_bounds=np.empty((0, 2))), "feature_bounds must be a non-empty"),
+            (lambda model: dict(feature_bounds=np.zeros((1, 3))), "feature_bounds must be a non-empty"),
+            (lambda model: dict(feature_bounds=[[0.0, 1.0], [0.0]]), "feature_bounds must be a non-empty"),
+            (lambda model: dict(feature_bounds=[[0.0, np.inf]]), "feature_bounds must hold"),
+        ],
+        ids=[
+            "names-empty",
+            "target-int",
+            "bounds-reversed",
+            "bounds-2-rows",
+            "genome-short",
+            "bounds-none",
+            "bounds-3-wide",
+            "bounds-ragged",
+            "bounds-inf",
+        ],
+    )
+    def test_broken_relation_rejected(self, abs_model, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(abs_model, **change(abs_model))
+
+
 class TestPredict:
+    def test_far_out_finite_rows_get_the_default_with_no_warning(self, abs_model):
+        # Off their boxes the rules' predictions overflow; tier-1 turns any
+        # warning into an error. Rows at 5 are unmatched too, and mix the same.
+        far = abs_model.predict([[1.7e308], [0.5], [-1.7e308]])
+        near = abs_model.predict([[5.0], [0.5], [-5.0]])
+        assert far.tobytes() == near.tobytes()
+        assert far[0] == far[2] == abs_model.default_prediction
+        rules = [rule for _, rule in abs_model.selected_rules()]
+        table = RulePredictionTable.build(rules, np.array([[1.7e308], [-1.7e308]]))
+        assert not table.weighted_predictions.any()
+
     def test_exact_cover_returns_training_targets(self):
         data = linear_dataset(n=50, noise=0.0, slope=2.0, intercept=1.0)
         model = exact_cover_model(data, 2.0, 1.0)
