@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Any, get_type_hints
 
 import numpy as np
@@ -29,7 +29,10 @@ class ModelFormatError(Exception):
 
 
 def save_model(model: Model, path: str) -> None:
-    """Write a model as a versioned JSON document."""
+    """Write a model as a versioned JSON document. Its parts are checked again
+    as :class:`Model` checks them, since its pool may have grown; a broken
+    relation or a non-finite number raises before ``path`` is opened."""
+    model = replace(model)
     document: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "config": config_to_flat(model.config),
@@ -46,7 +49,6 @@ def save_model(model: Model, path: str) -> None:
         },
         "history": [_fields(entry) for entry in model.history],
     }
-    # Serialise first: a model holding a non-finite number raises here, before ``path`` is opened.
     text = json.dumps(document, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

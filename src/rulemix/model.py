@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -384,11 +385,10 @@ class RulePredictionTable:
     @classmethod
     def build(cls, rules: Sequence[Rule], X: np.ndarray) -> "RulePredictionTable":
         """The table of ``rules`` over the float (rows x d) matrix ``X``,
-        whose width the caller has checked against the rules'.
-
-        A rule's prediction on a finite row far outside its box may overflow;
-        its entry there is 0 all the same, and no warning is raised.
-        """
+        whose width the caller has checked against the rules'. A rule's entry
+        off its box is 0, also where its prediction overflows there, with no
+        warning; a prediction that is not finite inside its box stays and
+        raises a ``RuntimeWarning``."""
         masks = match_masks(*rule_bounds(rules, X.shape[1]), np.ascontiguousarray(X.T))
         predictions = np.zeros((len(rules), X.shape[0]), dtype=float)
         experience, errors = np.array([(rule.experience, rule.in_sample_error) for rule in rules]).reshape(-1, 2).T
@@ -398,10 +398,11 @@ class RulePredictionTable:
             for k, rule in enumerate(rules):
                 predictions[k] = X @ rule.coefficients + rule.intercept
             predictions *= weighted_masks
-        if not np.isfinite(predictions).all():
-            # Off its box a rule's entry is 0 * prediction, a 0 of the
-            # prediction's sign; where the prediction overflowed, a 0 too.
-            np.copysign(0.0, predictions, out=predictions, where=~masks)
+        # Off its box an entry is 0 * prediction: a 0 of the prediction's sign, or NaN where it overflowed.
+        not_finite = ~np.isfinite(predictions)
+        predictions[not_finite & ~masks] = 0.0
+        if (not_finite & masks).any():
+            warnings.warn("a rule's prediction is not finite on a row inside its box", RuntimeWarning, stacklevel=2)
         return cls(weighted_masks, predictions)
 
     def mixed(self, selections: np.ndarray, default: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulemix import ModelFormatError, fit, load_model, save_model
+from rulemix import ModelFormatError, Pool, Rule, fit, load_model, save_model
 from rulemix.io import cli
 from rulemix.io.modelfile import FORMAT_VERSION
 
@@ -104,6 +104,24 @@ class TestRoundTrip:
                 save_model(broken, str(target))
         assert existing.read_bytes() == Path(path).read_bytes()
         assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule([0.0], [1.0], [1.0], 0.0, 5, 0.1), "best genome length"),
+            (Rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0, 5, 0.1), "vectors must have length 1"),
+        ],
+        ids=["one-rule-more", "another-width"],
+    )
+    def test_model_whose_pool_grew_is_refused(self, trained, tmp_path, rule, message):
+        # A Model checks its parts when it is built; its pool can grow later.
+        _, model, _ = trained
+        grown = replace(model, pool=Pool(list(model.pool)))
+        grown.pool.append(rule)
+        target = tmp_path / "grown.json"
+        with pytest.raises(ValueError, match=message):
+            save_model(grown, str(target))
+        assert not target.exists()
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "model_v2.json"

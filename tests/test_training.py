@@ -291,6 +291,13 @@ class TestPredict:
         table = RulePredictionTable.build(rules, np.array([[1.7e308], [-1.7e308]]))
         assert not table.weighted_predictions.any()
 
+    def test_prediction_not_finite_inside_its_box_warns(self):
+        rule = Rule([0.0], [1e300], [1e10], 0.0, 5, 0.1)
+        with pytest.warns(RuntimeWarning, match="not finite on a row inside its box"):
+            table = RulePredictionTable.build([rule], np.array([[1e300], [2e300]]))
+        assert table.weighted_predictions[0, 0] == np.inf
+        assert table.weighted_predictions[0, 1] == 0.0
+
     def test_exact_cover_returns_training_targets(self):
         data = linear_dataset(n=50, noise=0.0, slope=2.0, intercept=1.0)
         model = exact_cover_model(data, 2.0, 1.0)
