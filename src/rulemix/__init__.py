@@ -28,7 +28,7 @@ from .io import (
     load_model,
     save_model,
 )
-from .model import Dataset, Pool, Rule, SolutionCandidate
+from .model import Dataset, Rule, SolutionCandidate
 from .training import Model, PhaseMetrics, TrainingConfig, fit
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "Model",
     "ModelFormatError",
     "PhaseMetrics",
-    "Pool",
     "Rule",
     "SolutionCandidate",
     "TrainingConfig",

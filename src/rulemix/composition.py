@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .fitness import FitnessParams, candidate_fitness
-from .model import PRODUCT_FLOATS, Dataset, Pool, RulePredictionTable, SolutionCandidate
+from .model import PRODUCT_FLOATS, Dataset, Rule, RulePredictionTable, SolutionCandidate
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def mutate_bits(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np
 
 
 def compose(
-    pool: Pool,
+    pool: tuple[Rule, ...],
     data: Dataset,
     params: CompositionParams,
     rng: np.random.Generator,
@@ -148,7 +148,7 @@ def compose(
     n = len(pool)
     if n == 0:
         raise ValueError("cannot compose from an empty pool")
-    table = RulePredictionTable.build(pool.rules, data.features)
+    table = RulePredictionTable.build(pool, data.features)
     size = params.population_size
     n_children = size - params.elitists
     scored: dict[bytes, tuple[float, int, float]] = {}

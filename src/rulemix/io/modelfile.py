@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Any, get_type_hints
 
 import numpy as np
 
 from .config import ConfigError, config_from_flat, config_to_flat
-from ..model import Pool, Rule, SolutionCandidate
+from ..model import Rule, SolutionCandidate
 from ..training import Model, PhaseMetrics
 
 FORMAT_VERSION = 2
@@ -29,10 +29,8 @@ class ModelFormatError(Exception):
 
 
 def save_model(model: Model, path: str) -> None:
-    """Write a model as a versioned JSON document. Its parts are checked again
-    as :class:`Model` checks them, since its pool may have grown; a broken
-    relation or a non-finite number raises before ``path`` is opened."""
-    model = replace(model)
+    """Write a model as a versioned JSON document. A non-finite number
+    raises before ``path`` is opened."""
     document: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "config": config_to_flat(model.config),
@@ -167,10 +165,10 @@ def load_model(path: str) -> Model:
     rules = [_read(Rule, entry, f"rule {k} ") for k, entry in enumerate(_list(document, "rules"))]
     history = [_read(PhaseMetrics, entry, f"history {i} ") for i, entry in enumerate(_list(document, "history"))]
     names = document.get("feature_names")
-    # Pool, SolutionCandidate and Model check how the values relate.
+    # SolutionCandidate and Model check how the values relate.
     try:
         return Model(
-            pool=Pool(rules),
+            pool=tuple(rules),
             best=SolutionCandidate(
                 np.array([bit == "1" for bit in genome], dtype=bool),
                 _number(best, "mse", "best "),

@@ -1,5 +1,5 @@
-"""Core domain types: datasets, interval-matched linear rules, rule pools,
-solution candidates, and weighted mixing of rule predictions.
+"""Core domain types: datasets, interval-matched linear rules, solution
+candidates, and weighted mixing of rule predictions.
 
 Rule fits, composition and prediction all find the rows a box matches with
 one routine, :func:`match_masks`, which tests every box against one feature
@@ -97,7 +97,7 @@ class Rule:
     matched when the submodel was fitted and ``in_sample_error`` the
     submodel's MSE on exactly those examples. A rule with experience 0 is
     degenerate: it carries infinite error, any fitness assigns it 0, and
-    pools refuse it.
+    a model's pool refuses it.
     """
 
     lower: np.ndarray
@@ -304,42 +304,6 @@ def fit_rule(lower: np.ndarray, upper: np.ndarray, data: Dataset, ridge_lambda: 
     return Rule(lower, upper, coefficients, intercept, count, error)
 
 
-class Pool:
-    """Append-only archive of discovered rules.
-
-    Insertion order is stable and rules are never removed or modified, so the
-    index of a rule stays valid for every genome that references it. A pool
-    refuses degenerate rules; the :class:`~rulemix.training.Model` that holds
-    it checks that every rule spans its features.
-    """
-
-    def __init__(self, rules: Sequence[Rule] = ()):
-        self._rules: list[Rule] = []
-        self.extend(rules)
-
-    def append(self, rule: Rule) -> None:
-        if rule.is_degenerate:
-            raise ValueError("degenerate rules cannot enter the pool")
-        self._rules.append(rule)
-
-    def extend(self, rules: Sequence[Rule]) -> None:
-        for rule in rules:
-            self.append(rule)
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __getitem__(self, index: int) -> Rule:
-        return self._rules[index]
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules)
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionCandidate:
     """Bit string selecting a subset of the pool, with cached evaluation."""
@@ -411,9 +375,11 @@ class RulePredictionTable:
 
         Every genome's sums come from one matrix product with the stack, and
         a product with a 0/1 factor is exact, so only the summation order
-        sets the bits. A lone genome is mixed beside a zero row: BLAS sends a
-        one-row product down another path whose sums differ in the last
-        bits, and a genome's mix must not depend on its batch.
+        sets the bits. A lone genome is mixed beside a copy of itself: BLAS
+        sends a one-row product down another path whose sums differ in the
+        last bits, and a genome's mix must not depend on its batch. The pad
+        is a copy rather than zeros so that no 0 meets an infinite
+        prediction and warns of an invalid value.
         """
         selections = np.asarray(selections)
         rules = self.weighted_masks.shape[0]
@@ -422,6 +388,7 @@ class RulePredictionTable:
         m = selections.shape[0]
         stack = np.zeros((max(m, 2), rules))
         stack[:m] = selections
+        stack[m:] = stack[0]
         denominator = (stack @ self.weighted_masks)[:m]
         out = (stack @ self.weighted_predictions)[:m]
         unmatched = ~(denominator > 0.0)
@@ -431,11 +398,11 @@ class RulePredictionTable:
         return out
 
 
-def solution_residuals(candidate: SolutionCandidate, pool: Pool, data: Dataset) -> np.ndarray:
+def solution_residuals(candidate: SolutionCandidate, pool: tuple[Rule, ...], data: Dataset) -> np.ndarray:
     """Per-example residuals of the candidate's mixed prediction.
 
     Inputs matched by no selected rule fall back to the training-target mean,
     so an empty candidate leaves residuals centered on that mean.
     """
-    table = RulePredictionTable.build(pool.rules, data.features)
+    table = RulePredictionTable.build(pool, data.features)
     return data.targets - table.mixed(candidate.genome[None], data.target_mean)[0]

@@ -11,7 +11,7 @@ import numpy as np
 from .composition import CompositionParams, compose
 from .discovery import DiscoveryParams, discover_rules
 from .fitness import volume_share
-from .model import DataError, Dataset, Pool, Rule, RulePredictionTable, SolutionCandidate
+from .model import DataError, Dataset, Rule, RulePredictionTable, SolutionCandidate
 from .model import rule_bounds, solution_residuals
 
 # Optional early stop: quit when the best fitness improves by less than the
@@ -67,12 +67,16 @@ class Model:
     - ``feature_bounds`` is a non-empty (d x 2) stack of finite ``[min,
       max]`` pairs with min <= max;
     - every pool rule spans d features;
+    - no pool rule is degenerate;
     - the best genome has one bit per pool rule;
     - ``target_column`` is ``None`` or a ``str``;
     - ``feature_names`` is ``None`` or a tuple of d strings.
+
+    The model keeps the pool as a tuple and ``feature_bounds`` as a
+    read-only array, so none of these relations breaks after it is built.
     """
 
-    pool: Pool
+    pool: tuple[Rule, ...]
     best: SolutionCandidate
     default_prediction: float
     feature_bounds: np.ndarray
@@ -83,7 +87,7 @@ class Model:
 
     def __post_init__(self):
         try:
-            bounds = np.asarray(self.feature_bounds, dtype=float)
+            bounds = np.array(self.feature_bounds, dtype=float)
         except ValueError:  # rows of unequal length
             bounds = np.empty(0)
         if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
@@ -91,11 +95,14 @@ class Model:
         if not np.isfinite(bounds).all() or (bounds[:, 0] > bounds[:, 1]).any():
             raise ValueError("feature_bounds must hold finite [min, max] pairs with min <= max")
         d = bounds.shape[0]
-        for k, rule in enumerate(self.pool):
+        pool = tuple(self.pool)
+        for k, rule in enumerate(pool):
             if rule.lower.shape != (d,):
                 raise ValueError(f"rule {k} vectors must have length {d}")
-        if self.best.genome.shape != (len(self.pool),):
-            raise ValueError(f"best genome length {self.best.genome.size} does not match pool size {len(self.pool)}")
+            if rule.is_degenerate:
+                raise ValueError(f"rule {k} is degenerate (experience 0)")
+        if self.best.genome.shape != (len(pool),):
+            raise ValueError(f"best genome length {self.best.genome.size} does not match pool size {len(pool)}")
         if not isinstance(self.target_column, (str, type(None))):
             raise ValueError(f"target_column must be None or a str, got {self.target_column!r}")
         names = self.feature_names
@@ -103,6 +110,8 @@ class Model:
             isinstance(names, tuple) and len(names) == d and all(isinstance(name, str) for name in names)
         ):
             raise ValueError(f"feature_names must be None or a tuple of {d} strings, got {names!r}")
+        bounds.flags.writeable = False
+        object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "feature_bounds", bounds)
 
     @property
@@ -170,7 +179,7 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     """
     _check_fittable(data)
     rng = np.random.default_rng(config.rng_seed)
-    pool = Pool()
+    pool: tuple[Rule, ...] = ()
     residuals = data.targets - data.target_mean
 
     genomes: Optional[np.ndarray] = None
@@ -178,7 +187,7 @@ def fit(data: Dataset, config: TrainingConfig) -> Model:
     stalled_phases = 0
 
     for phase in range(1, config.n_phases + 1):
-        pool.extend(discover_rules(data, residuals, config.discovery, rng))
+        pool += tuple(discover_rules(data, residuals, config.discovery, rng))
         best, genomes = compose(pool, data, config.composition, rng, genomes)
         residuals = solution_residuals(best, pool, data)
         history.append(

@@ -137,14 +137,14 @@ def _ten_rule_pool():
         rule = fit_rule(*initial_condition(x, data, 0.4, rng), data, 0.01)
         if not rule.is_degenerate:
             rules.append(rule)
-    return rm.Pool(rules), data
+    return tuple(rules), data
 
 
 def test_criterion_05_ga_matches_brute_force():
     with criterion(5, "composition reaches the enumerated optimum"):
         pool, data = _ten_rule_pool()
         params = rm.CompositionParams(population_size=64, generations_per_phase=200)
-        table = RulePredictionTable.build(pool.rules, data.features)
+        table = RulePredictionTable.build(pool, data.features)
         genomes = np.array(list(itertools.product([False, True], repeat=10)))
         _, _, fitness = evaluate_candidate(genomes, data, params, table)
         optimum = fitness.max()

@@ -8,7 +8,6 @@ import pytest
 
 from rulemix import (
     Model,
-    Pool,
     Rule,
     SolutionCandidate,
     load_model,
@@ -210,7 +209,7 @@ class TestInspect:
         upper = np.array([1.0, 4.0, 3.0])
         rule = Rule(lower, upper, [2.0, -0.5, 0.0], 1.0, 42, 0.01, 0.9)
         model = Model(
-            pool=Pool([rule]),
+            pool=(rule,),
             best=SolutionCandidate(np.array([True]), 0.01, 1, 0.9),
             default_prediction=0.5,
             feature_bounds=np.column_stack([lower, upper]),
@@ -272,7 +271,7 @@ class TestExitCodes:
     def _two_feature_document(self, tmp_path):
         rule = Rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0, 5, 0.01, 0.5)
         model = Model(
-            pool=Pool([rule]),
+            pool=(rule,),
             best=SolutionCandidate(np.array([True]), 0.01, 1, 0.5),
             default_prediction=0.5,
             feature_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulemix.composition
-from rulemix import CompositionParams, Dataset, Pool, SolutionCandidate
+from rulemix import CompositionParams, Dataset, Rule, SolutionCandidate
 from rulemix.composition import (
     compose,
     crossover_npoint,
@@ -21,7 +21,7 @@ from rulemix.model import RulePredictionTable, fit_rule
 from conftest import linear_dataset, reference_candidate_fitness
 
 
-def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> Pool:
+def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> tuple[Rule, ...]:
     """Synthetic pool: rules grown around random training examples."""
     rng = np.random.default_rng(seed)
     rules = []
@@ -30,7 +30,7 @@ def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> 
         rule = fit_rule(*initial_condition(x, data, sigma, rng), data, 0.01)
         if not rule.is_degenerate:
             rules.append(rule)
-    return Pool(rules)
+    return tuple(rules)
 
 
 def candidates(genomes, scores):
@@ -42,7 +42,7 @@ def candidates(genomes, scores):
 def evaluate(genome, pool, data, params):
     """``evaluate_candidate`` of one genome, with a table built for this pool
     and dataset."""
-    table = RulePredictionTable.build(pool.rules, data.features)
+    table = RulePredictionTable.build(pool, data.features)
     genomes = np.asarray(genome, dtype=bool)[None]
     return candidates(genomes, evaluate_candidate(genomes, data, params, table))[0]
 
@@ -108,7 +108,7 @@ class TestEvaluateCandidate:
         # two rows still takes two genomes at a time.
         pool = build_pool(square_dataset, 6, seed=3)
         params = CompositionParams()
-        table = RulePredictionTable.build(pool.rules, square_dataset.features)
+        table = RulePredictionTable.build(pool, square_dataset.features)
         genomes = np.random.default_rng(4).random((7, 6)) < 0.5
         whole = candidates(genomes, evaluate_candidate(genomes, square_dataset, params, table))
         monkeypatch.setattr(rulemix.composition, "PRODUCT_FLOATS", chunk_rows * square_dataset.n_samples)
@@ -286,7 +286,7 @@ class TestCompose:
     def test_single_rule_pool_matches_two_genome_enumeration(self):
         # Oracle: evaluate both possible genomes directly.
         data = linear_dataset(n=60, noise=0.0)
-        pool = Pool([fit_rule(*data.feature_bounds.T, data, 0.0)])
+        pool = (fit_rule(*data.feature_bounds.T, data, 0.0),)
         params = CompositionParams(population_size=8, generations_per_phase=10, elitists=1)
         on = evaluate(np.array([True]), pool, data, params)
         off = evaluate(np.array([False]), pool, data, params)
@@ -321,28 +321,32 @@ class TestCompose:
         params = CompositionParams(population_size=10, generations_per_phase=4)
         rng = np.random.default_rng(3)
         _, genomes = compose(pool, square_dataset, params, rng)
-        pool.extend(build_pool(square_dataset, 2, seed=8).rules)
+        pool += build_pool(square_dataset, 2, seed=8)
         best, new_genomes = compose(pool, square_dataset, params, rng, genomes)
         assert new_genomes.shape == (10, 6)
         assert best.genome.shape == (6,)
 
     def test_pool_and_rules_untouched(self, square_dataset):
         pool = build_pool(square_dataset, 5, seed=6)
-        before = pool.rules
+
+        def arrays():
+            return [(rule.lower.tobytes(), rule.upper.tobytes(), rule.coefficients.tobytes()) for rule in pool]
+
+        before = arrays()
         compose(pool, square_dataset, CompositionParams(generations_per_phase=4), np.random.default_rng(2))
-        assert pool.rules == before  # same objects, same order
+        assert arrays() == before
 
     def test_best_is_at_least_final_population_max(self, square_dataset):
         pool = build_pool(square_dataset, 6, seed=7)
         params = CompositionParams(population_size=14, generations_per_phase=10)
         best, genomes = compose(pool, square_dataset, params, np.random.default_rng(4))
-        table = RulePredictionTable.build(pool.rules, square_dataset.features)
+        table = RulePredictionTable.build(pool, square_dataset.features)
         _, _, fitness = evaluate_candidate(genomes, square_dataset, params, table)
         assert best.cached_fitness >= fitness.max()
 
     def test_empty_pool_rejected(self, square_dataset):
         with pytest.raises(ValueError):
-            compose(Pool(), square_dataset, CompositionParams(), np.random.default_rng(0))
+            compose((), square_dataset, CompositionParams(), np.random.default_rng(0))
 
 
 class TestComposeMemo:
@@ -380,7 +384,7 @@ class TestComposeMemo:
         assert set(scored) == set(initial) | set(children)
 
         # A grown pool is a new table: the warm genomes are scored again.
-        pool.extend(build_pool(square_dataset, 2, seed=9).rules)
+        pool += build_pool(square_dataset, 2, seed=9)
         scored.clear()
         children.clear()
         compose(pool, square_dataset, params, np.random.default_rng(4), warm)
@@ -395,8 +399,8 @@ class TestComposeBest:
     @pytest.mark.parametrize("elitists", [0, 2])
     def test_best_is_the_first_scored_row_placed_first(self, square_dataset, monkeypatch, elitists):
         # Every rule appears twice, so distinct genomes tie on every score.
-        rules = build_pool(square_dataset, 3, seed=16).rules
-        pool = Pool([*rules, *rules])
+        rules = build_pool(square_dataset, 3, seed=16)
+        pool = (*rules, *rules)
         params = CompositionParams(population_size=10, generations_per_phase=15, elitists=elitists)
         rows = []
 
@@ -453,7 +457,7 @@ def interleaved_compose(pool, data, params, rng, warm_genomes=None):
     """Reference GA loop that scores each child as soon as it is bred and
     picks every winner by explicit comparison: higher fitness, then fewer
     rules, then first seen (the earlier index in a tournament)."""
-    table = RulePredictionTable.build(pool.rules, data.features)
+    table = RulePredictionTable.build(pool, data.features)
     n, size = len(pool), params.population_size
 
     def better(a, b):
@@ -514,8 +518,8 @@ class TestComposeDrawOrder:
     def tied_pool(data, count, seed):
         # Every rule appears twice, so distinct genomes tie on fitness and
         # complexity and each tie-break shows in the result.
-        rules = build_pool(data, count, seed=seed).rules
-        return Pool([*rules, *rules])
+        rules = build_pool(data, count, seed=seed)
+        return (*rules, *rules)
 
     def check(self, pool, data, params, seed, warm_genomes=None):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -542,11 +546,11 @@ class TestComposeDrawOrder:
         pool = self.tied_pool(square_dataset, 3, seed=12)
         params = CompositionParams(population_size=10, generations_per_phase=8, elitists=3)
         _, warm = compose(pool, square_dataset, params, np.random.default_rng(1))
-        pool.extend(build_pool(square_dataset, 2, seed=13).rules)
+        pool += build_pool(square_dataset, 2, seed=13)
         self.check(pool, square_dataset, params, seed=6, warm_genomes=warm)
 
     def test_one_child_per_generation(self, square_dataset):
-        # Every batch the GA scores is a lone genome, mixed beside a zero row.
+        # Every batch the GA scores is a lone genome, mixed beside a copy of itself.
         params = CompositionParams(population_size=6, generations_per_phase=40, elitists=5)
         self.check(self.tied_pool(square_dataset, 4, seed=14), square_dataset, params, seed=8)
 
@@ -558,7 +562,7 @@ class TestComposeDrawOrder:
 
     def test_single_rule_pool(self):
         data = linear_dataset(n=60)
-        pool = Pool([fit_rule(*data.feature_bounds.T, data, 0.01)])
+        pool = (fit_rule(*data.feature_bounds.T, data, 0.01),)
         params = CompositionParams(population_size=9, generations_per_phase=6, elitists=2)
         self.check(pool, data, params, seed=7)
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulemix.model
-from rulemix import Dataset, Model, Pool, Rule, SolutionCandidate, TrainingConfig
+from rulemix import Dataset, Model, Rule, SolutionCandidate, TrainingConfig
 from rulemix.discovery import _grown_bounds
 from rulemix.model import RuleFitter, RulePredictionTable, fit_rule, match_masks, solution_residuals
 
@@ -557,9 +557,6 @@ class TestPredictRule:
 
 
 class TestPredictMixed:
-    def _pool(self, *rules):
-        return Pool(rules)
-
     def _candidate(self, bits):
         genome = np.asarray(bits, dtype=bool)
         return SolutionCandidate(genome, 0.0, int(genome.sum()), 0.0)
@@ -569,34 +566,34 @@ class TestPredictMixed:
         kernel on a one-row matrix."""
         candidate = self._candidate(bits)
         expected = predict_mixed(candidate, pool, x, default)
-        table = RulePredictionTable.build(pool.rules, np.atleast_2d(x))
+        table = RulePredictionTable.build(pool, np.atleast_2d(x))
         assert table.mixed(candidate.genome[None], default)[0, 0] == pytest.approx(expected, abs=1e-12)
         return expected
 
     def test_single_matching_rule_wins(self):
         rule = make_rule([0.0], [1.0], [2.0], 0.0, experience=5, error=0.1)
-        pool = self._pool(rule)
+        pool = (rule,)
         assert self._mixed([1], pool, [0.5], -9.0) == predict_one(rule, [0.5])
 
     def test_equal_rules_average(self):
         a = make_rule([0.0], [1.0], [0.0], 1.0, experience=5, error=0.1)
         b = make_rule([0.0], [1.0], [0.0], 3.0, experience=5, error=0.1)
-        pool = self._pool(a, b)
+        pool = (a, b)
         assert self._mixed([1, 1], pool, [0.5], -9.0) == pytest.approx(2.0)
 
     def test_no_match_returns_default(self):
         rule = make_rule([0.0], [1.0], [2.0], 0.0)
-        pool = self._pool(rule)
+        pool = (rule,)
         assert self._mixed([1], pool, [5.0], -9.0) == -9.0
 
     def test_unselected_rules_ignored(self):
         a = make_rule([0.0], [1.0], [0.0], 1.0)
         b = make_rule([0.0], [1.0], [0.0], 100.0)
-        pool = self._pool(a, b)
+        pool = (a, b)
         assert self._mixed([1, 0], pool, [0.5], -9.0) == 1.0
 
     def test_genome_pool_size_mismatch(self):
-        pool = self._pool(make_rule([0.0], [1.0], [0.0], 1.0))
+        pool = (make_rule([0.0], [1.0], [0.0], 1.0),)
         data = Dataset([[0.5]], [0.0])
         with pytest.raises(ValueError, match="stack of selections over 1 rules"):
             solution_residuals(self._candidate([1, 0]), pool, data)
@@ -614,7 +611,7 @@ class TestPredictMixed:
             )
             for _ in range(5)
         ]
-        pool = self._pool(*rules)
+        pool = tuple(rules)
         for x in rng.uniform(-1, 1, size=20):
             predictions = [predict_one(rule, [x]) for rule in rules]
             mixed = self._mixed([1] * 5, pool, [x], 0.0)
@@ -635,9 +632,9 @@ class TestPredictMixed:
                     error=float(rng.uniform(0.0, 0.5)),
                 )
             )
-        pool = self._pool(*rules)
+        pool = tuple(rules)
         X = rng.uniform(-1.5, 1.5, size=(40, 1))
-        table = RulePredictionTable.build(pool.rules, X)
+        table = RulePredictionTable.build(pool, X)
         genome = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
         candidate = SolutionCandidate(genome, 0.0, 4, 0.0)
         (batch,) = table.mixed(genome[None], 0.25)
@@ -788,30 +785,26 @@ class TestRulePredictionTableBits:
 
 
 class TestPool:
-    def test_append_only_indices_stable(self):
-        first = make_rule([0.0], [1.0], [1.0], 0.0)
-        pool = Pool([first])
-        pool.extend(make_rule([0.0], [1.0], [float(k)], 0.0) for k in range(5))
-        assert pool[0] is first
-        assert len(pool) == 6
+    """The pool a :class:`Model` holds: a tuple of non-degenerate rules that
+    span the model's features."""
+
+    @staticmethod
+    def model(pool, d):
+        best = SolutionCandidate(np.zeros(len(pool), dtype=bool), 0.0, 0, 0.0)
+        return Model(pool, best, 0.0, np.tile([0.0, 1.0], (d, 1)), TrainingConfig(), ())
 
     def test_degenerate_rule_rejected(self):
         degenerate = Rule([0.0], [1.0], np.zeros(1), 0.0, 0, np.inf)
-        pool = Pool()
-        with pytest.raises(ValueError, match="degenerate"):
-            pool.append(degenerate)
+        with pytest.raises(ValueError, match="rule 1 is degenerate"):
+            self.model([make_rule([0.0], [1.0], [1.0], 0.0), degenerate], 1)
 
     def test_rule_of_another_width_rejected(self):
-        # A pool holds rules of any width; the model holding it checks them
-        # against its feature bounds.
-        pool = Pool([make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0), make_rule([0.0], [1.0], [1.0], 0.0)])
-        best = SolutionCandidate(np.zeros(2, dtype=bool), 0.0, 0, 0.0)
+        pool = [make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0), make_rule([0.0], [1.0], [1.0], 0.0)]
         with pytest.raises(ValueError, match="rule 1 vectors must have length 2"):
-            Model(pool, best, 0.0, np.array([[0.0, 1.0], [0.0, 1.0]]), TrainingConfig(), ())
+            self.model(pool, 2)
 
     def test_rules_view_is_tuple(self):
-        pool = Pool([make_rule([0.0], [1.0], [1.0], 0.0)])
-        assert isinstance(pool.rules, tuple)
+        assert isinstance(self.model([make_rule([0.0], [1.0], [1.0], 0.0)], 1).pool, tuple)
 
 
 class TestSolutionCandidate:
@@ -830,7 +823,7 @@ class TestSolutionCandidate:
 class TestSolutionResiduals:
     def test_empty_selection_centers_on_target_mean(self):
         data = linear_dataset(n=30, noise=0.0)
-        pool = Pool([make_rule([-1.0], [1.0], [2.0], 1.0, experience=30)])
+        pool = (make_rule([-1.0], [1.0], [2.0], 1.0, experience=30),)
         candidate = SolutionCandidate(np.array([False]), 0.0, 0, 0.0)
         residuals = solution_residuals(candidate, pool, data)
         np.testing.assert_allclose(residuals, data.targets - data.targets.mean())
@@ -838,7 +831,7 @@ class TestSolutionResiduals:
     def test_perfect_rule_zeroes_residuals(self):
         data = linear_dataset(n=30, noise=0.0)
         rule = fit_rule(data.feature_bounds[:, 0], data.feature_bounds[:, 1], data, 0.0)
-        pool = Pool([rule])
+        pool = (rule,)
         candidate = SolutionCandidate(np.array([True]), 0.0, 1, 0.0)
         residuals = solution_residuals(candidate, pool, data)
         np.testing.assert_allclose(residuals, 0.0, atol=1e-10)
@@ -846,7 +839,7 @@ class TestSolutionResiduals:
     def test_residuals_match_per_row_recomputation(self):
         data = linear_dataset(n=40, seed=2, noise=0.3)
         rules = [fit_rule([lo], [lo + width], data, 0.01) for lo, width in [(-1.0, 0.8), (-0.4, 1.0), (0.2, 0.8)]]
-        pool = Pool(rules)
+        pool = tuple(rules)
         genome = np.array([True, False, True])
         candidate = SolutionCandidate(genome, 0.0, 2, 0.0)
         residuals = solution_residuals(candidate, pool, data)

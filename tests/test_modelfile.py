@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulemix import ModelFormatError, Pool, Rule, fit, load_model, save_model
+from rulemix import ModelFormatError, Rule, fit, load_model, save_model
 from rulemix.io import cli
 from rulemix.io.modelfile import FORMAT_VERSION
 
@@ -105,23 +105,22 @@ class TestRoundTrip:
         assert existing.read_bytes() == Path(path).read_bytes()
         assert not missing.exists()
 
-    @pytest.mark.parametrize(
-        "rule, message",
-        [
-            (Rule([0.0], [1.0], [1.0], 0.0, 5, 0.1), "best genome length"),
-            (Rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0, 5, 0.1), "vectors must have length 1"),
-        ],
-        ids=["one-rule-more", "another-width"],
-    )
-    def test_model_whose_pool_grew_is_refused(self, trained, tmp_path, rule, message):
-        # A Model checks its parts when it is built; its pool can grow later.
-        _, model, _ = trained
-        grown = replace(model, pool=Pool(list(model.pool)))
-        grown.pool.append(rule)
-        target = tmp_path / "grown.json"
-        with pytest.raises(ValueError, match=message):
-            save_model(grown, str(target))
-        assert not target.exists()
+    def test_model_keeps_the_parts_it_checked(self, trained, tmp_path):
+        # A Model checks its parts when it is built and keeps them fixed: the
+        # pool as a tuple of its own, the bounds read-only. So the file saved
+        # is the model that was checked.
+        _, model, path = trained
+        rules = list(model.pool)
+        rebuilt = replace(model, pool=rules)
+        rules.append(Rule([0.0], [1.0], [1.0], 0.0, 5, 0.1))
+        rules[0] = rules[1]
+        assert isinstance(rebuilt.pool, tuple)
+        assert all(kept is rule for kept, rule in zip(rebuilt.pool, model.pool, strict=True))
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.feature_bounds[0, 0] = -1.0
+        target = tmp_path / "rebuilt.json"
+        save_model(rebuilt, str(target))
+        assert target.read_bytes() == Path(path).read_bytes()
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "model_v2.json"
@@ -243,6 +242,7 @@ class TestFormatErrors:
             (dict(lower=[0.0, 0.0], upper=[1.0, 1.0], coefficients=[1.0, 2.0]), "rule 0 vectors must have length 1"),
             (dict(lower=[1.0], upper=[0.0]), "rule 0 is invalid: lower bound exceeds upper bound"),
             (dict(fitness=1.5), "rule 0 is invalid: fitness"),
+            (dict(experience=0), "rule 0 is degenerate"),
         ],
     )
     def test_bad_rule_rejected(self, trained, tmp_path, change, message):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -9,7 +11,6 @@ from rulemix import (
     Dataset,
     DiscoveryParams,
     Model,
-    Pool,
     Rule,
     SolutionCandidate,
     TrainingConfig,
@@ -38,7 +39,7 @@ def quick_config(seed=0, **kwargs):
 def exact_cover_model(data: Dataset, slope: float, intercept: float) -> Model:
     """One full-range rule reproducing the generating line exactly."""
     rule = Rule(*data.feature_bounds.T, [slope], intercept, data.n_samples, 0.0, 1.0)
-    pool = Pool([rule])
+    pool = (rule,)
     best = SolutionCandidate(np.array([True]), 0.0, 1, 0.9)
     return Model(
         pool=pool,
@@ -101,7 +102,7 @@ class TestFit:
     def test_stored_best_reproducible_by_reevaluation(self):
         data = linear_dataset(n=80, seed=6)
         model = fit(data, quick_config(seed=4))
-        table = RulePredictionTable.build(model.pool.rules, data.features)
+        table = RulePredictionTable.build(model.pool, data.features)
         (mse,), (complexity,), (fitness,) = evaluate_candidate(
             model.best.genome[None], data, model.config.composition, table
         )
@@ -128,6 +129,24 @@ class TestFit:
         monkeypatch.setattr(rulemix.training, "discover_rules", lambda *args: [])
         with pytest.raises(ValueError, match="empty pool"):
             fit(data, quick_config())
+
+    def test_pool_is_append_only(self, monkeypatch):
+        # Each phase composes from the previous phase's rules, the same
+        # objects in the same order, followed by rules_per_phase new ones.
+        compose = rulemix.training.compose
+        pools = []
+
+        def recording_compose(pool, *args):
+            pools.append(pool)
+            return compose(pool, *args)
+
+        monkeypatch.setattr(rulemix.training, "compose", recording_compose)
+        config = quick_config(seed=5, n_phases=3)
+        fit(linear_dataset(n=80, seed=10), config)
+        assert len(pools) == 3
+        for previous, pool in zip([()] + pools, pools):
+            assert len(pool) == len(previous) + config.discovery.rules_per_phase
+            assert all(kept is rule for kept, rule in zip(previous, pool[: len(previous)], strict=True))
 
     def test_early_stop_shortens_history(self, monkeypatch):
         # With the best fitness flat, every phase after the first stalls, so
@@ -298,6 +317,20 @@ class TestPredict:
         assert table.weighted_predictions[0, 0] == np.inf
         assert table.weighted_predictions[0, 1] == 0.0
 
+    def test_prediction_not_finite_inside_its_box_warns_once(self):
+        # The one warning is build's. A lone genome is mixed beside a copy of
+        # itself, so no 0 * inf in a padding row adds an "invalid value" one.
+        rule = Rule([0.0], [1e300], [1e10], 0.0, 5, 0.1)
+        best = SolutionCandidate(np.array([True]), 0.0, 1, 0.0)
+        model = Model((rule,), best, 0.0, [[0.0, 1e300]], TrainingConfig(), ())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prediction = model.predict([[1e300]])
+        assert [str(warning.message) for warning in caught] == [
+            "a rule's prediction is not finite on a row inside its box"
+        ]
+        assert prediction[0] == np.inf
+
     def test_exact_cover_returns_training_targets(self):
         data = linear_dataset(n=50, noise=0.0, slope=2.0, intercept=1.0)
         model = exact_cover_model(data, 2.0, 1.0)
@@ -341,7 +374,7 @@ class TestScore:
         data = linear_dataset(n=50, noise=0.0)
         rule = Rule(*data.feature_bounds.T, np.zeros(1), 0.0, data.n_samples, 1.0, 0.5)
         model = Model(
-            pool=Pool([rule]),
+            pool=(rule,),
             best=SolutionCandidate(np.array([False]), 0.0, 0, 0.0),
             default_prediction=float(data.targets.mean()),
             feature_bounds=data.feature_bounds,
