@@ -203,20 +203,32 @@ class RuleFitter:
         """
         masks = match_masks(lowers, uppers, self._columns)
         counts = masks.sum(axis=1)
-        fitted = np.flatnonzero(counts)
-        masks, matched = masks.take(fitted, axis=0), counts[fitted]
+        coefficients = np.zeros((counts.shape[0], self.data.n_features))
+        intercepts = np.zeros(counts.shape[0])
+        errors = np.full(counts.shape[0], np.inf)
+        # Boxes that match every row share one fit of their own: BLAS sums a
+        # box's row of the product in an order that depends on its batch, and
+        # discovery stops at a parent spanning the whole feature box because
+        # the copies it would breed score as it does.
+        n = self._columns.shape[1]
+        full = np.flatnonzero(counts == n)
+        for fitted in (np.flatnonzero((counts > 0) & (counts < n)), full[:1]):
+            if fitted.size:
+                fits = self._fit_masks(masks.take(fitted, axis=0), counts[fitted])
+                coefficients[fitted], intercepts[fitted], errors[fitted] = fits
+        copies = np.arange(counts.shape[0])
+        copies[full] = full[:1]
+        return counts, coefficients[copies], intercepts[copies], errors[copies]
+
+    def _fit_masks(self, masks: np.ndarray, matched: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Coefficients, intercepts and mean squared errors of the non-empty
+        boxes whose match masks are ``masks`` and counts ``matched``."""
         # Only rows some box matches take part in the fits.
         rows = np.flatnonzero(masks.any(axis=0))
         masks = masks.take(rows, axis=1)
         X, y = self._columns[:, rows], self.data.targets[rows]
-        coefficients = np.zeros((counts.shape[0], self.data.n_features))
-        intercepts = np.zeros(counts.shape[0])
-        errors = np.full(counts.shape[0], np.inf)
-        if fitted.size:
-            fits = self._ridge(masks, X, y)
-            coefficients[fitted], intercepts[fitted] = fits
-            errors[fitted] = self._squared_errors(masks, X, y, *fits) / matched
-        return counts, coefficients, intercepts, errors
+        coefficients, intercepts = self._ridge(masks, X, y)
+        return coefficients, intercepts, self._squared_errors(masks, X, y, coefficients, intercepts) / matched
 
     def _ridge(self, masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ridge fits of non-empty boxes that share a row, given by ``masks``

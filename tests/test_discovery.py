@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -325,6 +325,9 @@ class TestMatchesObjectOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(seeded_searches(), st.floats(1e-6, 1.0), st.sampled_from([0.0, 0.01]))
+    # A constant feature: the seed box is the full box, fitted alone, and
+    # running on refits it in a batch of copies.
+    @example((Dataset(np.zeros((25, 1)), np.array([19.0] + [0.0] * 24)), np.zeros(25), 0), 1.0, 0.0)
     def test_small_datasets(self, search, sigma_init, ridge_lambda):
         data, residuals, seed = search
         params = DiscoveryParams(lambda_=4, delta=2, max_iter=20, sigma_init=sigma_init, ridge_lambda=ridge_lambda)

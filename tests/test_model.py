@@ -526,6 +526,25 @@ class TestRuleFitterBits:
         assert 0.8 * rows < matched < 1.3 * rows
         self.check(data, lowers, uppers)
 
+    @pytest.mark.parametrize("d, n", [(1, 400), (6, 8_000)])
+    def test_full_box_fit_does_not_depend_on_its_batch(self, d, n):
+        # Discovery stops at a parent spanning the feature box because the
+        # copies it would breed score as it does: a box matching every row
+        # keeps its lone fit's bits beside other boxes and among copies.
+        data, lowers, uppers = self.iteration(d, n, 0.2, seed=d)
+        full_lower, full_upper = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
+        fitter = RuleFitter(data, 0.01)
+        alone = fitter.fit(full_lower[None], full_upper[None])
+        siblings = fitter.fit(lowers, uppers)
+        beside = fitter.fit(np.vstack([lowers, full_lower]), np.vstack([uppers, full_upper]))
+        for got, lone, others in zip(beside, alone, siblings):
+            assert got[-1].tobytes() == lone[0].tobytes()
+            assert got[:-1].tobytes() == others.tobytes()
+        for k in (2, 4, 16):
+            copies = fitter.fit(np.tile(full_lower, (k, 1)), np.tile(full_upper, (k, 1)))
+            for got, lone in zip(copies, alone):
+                assert got.tobytes() == np.repeat(lone, k, axis=0).tobytes()
+
     @pytest.mark.parametrize("d", [1, 6])
     def test_row_chunks_match_oracle(self, monkeypatch, d):
         data, lowers, uppers = self.iteration(d, 2_000, 0.5, seed=d)

@@ -122,6 +122,23 @@ class TestRoundTrip:
         save_model(rebuilt, str(target))
         assert target.read_bytes() == Path(path).read_bytes()
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule([0.0], [1.0], [1.0], 0.0, 5, 0.1), "best genome length"),
+            (Rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0, 5, 0.1), "vectors must have length 1"),
+        ],
+        ids=["one-rule-more", "another-width"],
+    )
+    def test_model_whose_pool_grew_is_refused(self, trained, rule, message):
+        # A model's pool is a tuple: it grows only into a new Model, which
+        # checks its parts when it is built, so no grown model reaches a file.
+        _, model, _ = trained
+        with pytest.raises(AttributeError):
+            model.pool.append(rule)
+        with pytest.raises(ValueError, match=message):
+            replace(model, pool=model.pool + (rule,))
+
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "model_v2.json"
 
