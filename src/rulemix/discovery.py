@@ -84,9 +84,10 @@ def _grown_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of ``count`` growth-only mutations: each bound moves outward by
     an independent halfnormal draw scaled to the feature range, clipped to
-    the observed bounds."""
+    the observed bounds, which an infinite scale reaches."""
     bounds = data.feature_bounds
-    scale = sigma * (bounds[:, 1] - bounds[:, 0])
+    with np.errstate(over="ignore"):
+        scale = sigma * (bounds[:, 1] - bounds[:, 0])
     extents = np.abs(rng.normal(0.0, scale, size=(count, 2, lower.shape[0])))
     lowers = np.maximum(lower - extents[:, 0, :], bounds[:, 0])
     uppers = np.minimum(upper + extents[:, 1, :], bounds[:, 1])

@@ -82,8 +82,7 @@ def rule_fitness(
     errors: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, feature_bounds: np.ndarray, params: FitnessParams
 ) -> np.ndarray:
     """Per box of the (boxes x d) bound stacks, the combined fitness of its
-    in-sample error ``errors[k]`` and its volume share. An empty box carries
-    infinite error, whose accuracy is 0, so it scores 0."""
+    in-sample error ``errors[k]`` and its volume share."""
     return combine(pseudo_accuracy(errors, params.beta), volume_share(lowers, uppers, feature_bounds), params.alpha)
 
 

@@ -95,9 +95,8 @@ class Rule:
     An input matches iff it lies inside the box on every axis, both bounds
     inclusive. ``experience`` is the number of training examples the box
     matched when the submodel was fitted and ``in_sample_error`` the
-    submodel's MSE on exactly those examples. A rule with experience 0 is
-    degenerate: it carries infinite error, any fitness assigns it 0, and
-    a model's pool refuses it.
+    submodel's MSE on exactly those examples. Every rule matches at least
+    one example: a discovered box always holds its seed row.
     """
 
     lower: np.ndarray
@@ -129,8 +128,8 @@ class Rule:
             experience = operator.index(self.experience)
         except TypeError:
             raise ValueError(f"experience must be an integer count, got {self.experience!r}") from None
-        if experience < 0:
-            raise ValueError("experience must be non-negative")
+        if experience < 1:
+            raise ValueError("experience must be at least 1")
         if not self.in_sample_error >= 0:
             raise ValueError("in_sample_error must be non-negative")
         if not 0.0 <= self.fitness <= 1.0:
@@ -142,10 +141,6 @@ class Rule:
         object.__setattr__(self, "experience", experience)
         object.__setattr__(self, "in_sample_error", float(self.in_sample_error))
         object.__setattr__(self, "fitness", float(self.fitness))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.experience == 0
 
 
 # Row products are built in row chunks of at most this many floats (32 MiB),
@@ -159,13 +154,17 @@ class RuleFitter:
     Boxes come as (boxes x d) stacks of lower and upper bounds, and the fits
     come back as arrays, one row per box. Each box gets the ridge fit of its
     matched rows centered on their own mean, so the intercept is
-    unpenalized. The sums behind every box's normal equations come from one
-    matrix product of the boxes' match masks with per-row products of ``w =
-    [1, x, y]``, taken over the rows some box matches; the boxes are then
-    solved as one stack. That product reads two C-ordered operands: the
-    (boxes x rows) masks and a (rows x products) scratch the row products
-    are written into. BLAS sums a product in an order that depends on its
-    operands' memory layout, so this layout is part of the fit's bits.
+    unpenalized. The sums behind the boxes' normal equations come from one
+    matrix product of their match masks with per-row products of ``w = [1,
+    x, y]``, taken over the rows some box matches; the boxes are then solved
+    as one stack. That product reads two C-ordered operands: the (boxes x
+    rows) masks and a (rows x products) scratch the row products are written
+    into. BLAS sums a product in an order that depends on its operands'
+    memory layout, so this layout is part of the fit's bits. It also sums a
+    box's row in an order that depends on the batch's size and the box's
+    place in it, so boxes that match every row share one lone fit instead:
+    discovery's stop at a parent spanning the whole feature box must return
+    what running on, through that parent's copies, would.
 
     With ``ridge_lambda > 0`` a box whose system is singular gets its
     minimum-norm solution; with ``ridge_lambda = 0`` every box does (least
@@ -173,12 +172,12 @@ class RuleFitter:
     comes from real residuals of its submodel on its matched rows, never
     from those sums.
 
-    The non-empty boxes of one call must share a matched row, as the
-    children of a discovery iteration share their parent's seed row; a call
-    whose non-empty boxes share none raises ``ValueError``. ``w`` is
-    centered on the mean of the shared rows. A box containing those rows has
-    a mean no farther from it than its own spread allows, so removing the
-    box mean from the sums loses no more than a factor of
+    The boxes of one call must share a matched row, as the children of a
+    discovery iteration share their parent's seed row; a call whose boxes
+    share none, such as one that holds an empty box, raises ``ValueError``.
+    ``w`` is centered on the mean of the shared rows. A box containing those
+    rows has a mean no farther from it than its own spread allows, so
+    removing the box mean from the sums loses no more than a factor of
     rows-per-shared-row in precision.
     """
 
@@ -198,21 +197,15 @@ class RuleFitter:
     def fit(self, lowers: np.ndarray, uppers: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per box of the (boxes x d) bound stacks: the count of matched rows,
         the submodel's coefficients and intercept, and its mean squared error
-        on those rows. An empty box gets count 0, zero coefficients and
-        intercept, and infinite error, which every rule fitness scores 0.
-        """
+        on those rows."""
         masks = match_masks(lowers, uppers, self._columns)
         counts = masks.sum(axis=1)
-        coefficients = np.zeros((counts.shape[0], self.data.n_features))
-        intercepts = np.zeros(counts.shape[0])
-        errors = np.full(counts.shape[0], np.inf)
-        # Boxes that match every row share one fit of their own: BLAS sums a
-        # box's row of the product in an order that depends on its batch, and
-        # discovery stops at a parent spanning the whole feature box because
-        # the copies it would breed score as it does.
+        coefficients = np.empty((counts.shape[0], self.data.n_features))
+        intercepts = np.empty(counts.shape[0])
+        errors = np.empty(counts.shape[0])
         n = self._columns.shape[1]
         full = np.flatnonzero(counts == n)
-        for fitted in (np.flatnonzero((counts > 0) & (counts < n)), full[:1]):
+        for fitted in (np.flatnonzero(counts < n), full[:1]):
             if fitted.size:
                 fits = self._fit_masks(masks.take(fitted, axis=0), counts[fitted])
                 coefficients[fitted], intercepts[fitted], errors[fitted] = fits
@@ -221,8 +214,8 @@ class RuleFitter:
         return counts, coefficients[copies], intercepts[copies], errors[copies]
 
     def _fit_masks(self, masks: np.ndarray, matched: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Coefficients, intercepts and mean squared errors of the non-empty
-        boxes whose match masks are ``masks`` and counts ``matched``."""
+        """Coefficients, intercepts and mean squared errors of the boxes whose
+        match masks are ``masks`` and counts ``matched``."""
         # Only rows some box matches take part in the fits.
         rows = np.flatnonzero(masks.any(axis=0))
         masks = masks.take(rows, axis=1)
@@ -231,11 +224,11 @@ class RuleFitter:
         return coefficients, intercepts, self._squared_errors(masks, X, y, coefficients, intercepts) / matched
 
     def _ridge(self, masks: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ridge fits of non-empty boxes that share a row, given by ``masks``
-        over the feature-major rows ``X`` and targets ``y``."""
+        """Ridge fits of boxes that share a row, given by ``masks`` over the
+        feature-major rows ``X`` and targets ``y``."""
         shared = masks.all(axis=0)
         if not shared.any():
-            raise ValueError("the non-empty boxes of one fit must share a matched row")
+            raise ValueError("the boxes of one fit must share a matched row")
         d = X.shape[0]
         w = np.empty((d + 2, X.shape[1]))
         w[0], w[1:-1], w[-1] = 1.0, X, y

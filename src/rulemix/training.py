@@ -3,6 +3,8 @@ the resulting model with prediction and scoring."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,8 +69,8 @@ class Model:
     - ``feature_bounds`` is a non-empty (d x 2) stack of finite ``[min,
       max]`` pairs with min <= max;
     - every pool rule spans d features;
-    - no pool rule is degenerate;
     - the best genome has one bit per pool rule;
+    - ``default_prediction`` is a finite number, kept as a ``float``;
     - ``target_column`` is ``None`` or a ``str``;
     - ``feature_names`` is ``None`` or a tuple of d strings.
 
@@ -99,10 +101,11 @@ class Model:
         for k, rule in enumerate(pool):
             if rule.lower.shape != (d,):
                 raise ValueError(f"rule {k} vectors must have length {d}")
-            if rule.is_degenerate:
-                raise ValueError(f"rule {k} is degenerate (experience 0)")
         if self.best.genome.shape != (len(pool),):
             raise ValueError(f"best genome length {self.best.genome.size} does not match pool size {len(pool)}")
+        default = self.default_prediction
+        if isinstance(default, bool) or not (isinstance(default, numbers.Real) and math.isfinite(default)):
+            raise ValueError(f"default_prediction must be a finite number, got {default!r}")
         if not isinstance(self.target_column, (str, type(None))):
             raise ValueError(f"target_column must be None or a str, got {self.target_column!r}")
         names = self.feature_names
@@ -113,6 +116,7 @@ class Model:
         bounds.flags.writeable = False
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "feature_bounds", bounds)
+        object.__setattr__(self, "default_prediction", float(default))
 
     @property
     def n_features(self) -> int:

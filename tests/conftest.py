@@ -224,12 +224,9 @@ def rule_fit_oracle(data, lowers, uppers, ridge_lambda):
 def box_ridge(data, lower, upper, ridge_lambda):
     """Plain-numpy oracle for one box: ridge on the matched rows centered on
     their own mean (least squares when ``ridge_lambda`` is 0), intercept
-    unpenalized. Returns (experience, coefficients, intercept, mse); an empty
-    box gives (0, zeros, 0.0, inf)."""
+    unpenalized. Returns (experience, coefficients, intercept, mse)."""
     X, y = data.features, data.targets
     mask = np.all((np.asarray(lower) <= X) & (X <= np.asarray(upper)), axis=1)
-    if not mask.any():
-        return 0, np.zeros(X.shape[1]), 0.0, np.inf
     Xm, ym = X[mask], y[mask]
     x_mean, y_mean = Xm.mean(axis=0), ym.mean()
     Xc, yc = Xm - x_mean, ym - y_mean

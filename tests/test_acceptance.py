@@ -131,13 +131,8 @@ def _ten_rule_pool():
     X = rng.uniform(-1.0, 1.0, size=(60, 2))
     y = X[:, 0] ** 2 + 0.5 * X[:, 1] + rng.normal(0.0, 0.05, 60)
     data = rm.Dataset(X, y)
-    rules = []
-    while len(rules) < 10:
-        x = data.features[int(rng.integers(0, data.n_samples))]
-        rule = fit_rule(*initial_condition(x, data, 0.4, rng), data, 0.01)
-        if not rule.is_degenerate:
-            rules.append(rule)
-    return tuple(rules), data
+    rows = (data.features[int(rng.integers(0, data.n_samples))] for _ in range(10))
+    return tuple(fit_rule(*initial_condition(x, data, 0.4, rng), data, 0.01) for x in rows), data
 
 
 def test_criterion_05_ga_matches_brute_force():

@@ -24,13 +24,8 @@ from conftest import linear_dataset, reference_candidate_fitness
 def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> tuple[Rule, ...]:
     """Synthetic pool: rules grown around random training examples."""
     rng = np.random.default_rng(seed)
-    rules = []
-    while len(rules) < count:
-        x = data.features[rng.integers(0, data.n_samples)]
-        rule = fit_rule(*initial_condition(x, data, sigma, rng), data, 0.01)
-        if not rule.is_degenerate:
-            rules.append(rule)
-    return tuple(rules)
+    rows = (data.features[rng.integers(0, data.n_samples)] for _ in range(count))
+    return tuple(fit_rule(*initial_condition(x, data, sigma, rng), data, 0.01) for x in rows)
 
 
 def candidates(genomes, scores):

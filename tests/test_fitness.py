@@ -125,7 +125,7 @@ class TestRuleFitness:
         assert self._score(0.0, params) == 1.0
 
     def test_degenerate_rule_scores_zero(self):
-        # An empty box carries infinite error.
+        # An infinite error squashes to accuracy 0, whatever the box's volume.
         assert self._score(np.inf, FitnessParams()) == 0.0
 
     def test_analytic_composition(self):

@@ -154,6 +154,7 @@ class TestRule:
             (dict(experience=True), "experience must be an integer count"),
             (dict(experience=np.True_), "experience must be an integer count"),
             (dict(experience=np.float64(3.0)), "experience must be an integer count"),
+            (dict(experience=0), "must be at least 1"),
         ],
     )
     def test_statistics_out_of_range_rejected(self, statistics, message):
@@ -226,13 +227,10 @@ class TestFitRule:
         assert rule.intercept == pytest.approx(0.0, abs=1e-12)
         assert rule.in_sample_error == pytest.approx(0.0, abs=1e-24)
 
-    def test_empty_match_is_degenerate(self):
+    def test_empty_box_is_refused(self):
         data = Dataset([[0.0], [1.0]], [0.0, 2.0])
-        rule = fit_rule([5.0], [6.0], data, 0.0)
-        assert rule.is_degenerate
-        assert rule.experience == 0
-        assert rule.in_sample_error == np.inf
-        assert rule.fitness == 0.0
+        with pytest.raises(ValueError, match="share a matched row"):
+            fit_rule([5.0], [6.0], data, 0.0)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(42)
@@ -279,13 +277,13 @@ class TestFitRule:
 class TestRuleFitter:
     @staticmethod
     def boxes(data, rng, count=12):
-        """Random boxes plus an empty box, a one-row box and the full box."""
+        """Random boxes, each spanning two random rows, plus a one-row box and
+        the full box."""
         lo, hi = data.feature_bounds[:, 0], data.feature_bounds[:, 1]
         conditions = []
         for _ in range(count):
-            a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            a, b = data.features[rng.integers(0, data.n_samples, 2)]
             conditions.append((np.minimum(a, b), np.maximum(a, b)))
-        conditions.append((hi + 1.0, hi + 2.0))
         conditions.append((data.features[3], data.features[3]))
         conditions.append((lo, hi))
         return conditions
@@ -318,10 +316,7 @@ class TestRuleFitter:
             assert rule.experience == experience
             np.testing.assert_allclose(rule.coefficients, coefficients, rtol=0, atol=1e-8)
             assert abs(rule.intercept - intercept) <= 1e-8
-            if experience == 0:
-                assert rule.in_sample_error == np.inf
-            else:
-                assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
+            assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("ridge_lambda", [0.0, 0.01, 10.0])
     def test_batch_matches_per_box_oracle(self, ridge_lambda):
@@ -331,13 +326,11 @@ class TestRuleFitter:
         conditions = self.boxes(data, rng)
         fitter = RuleFitter(data, ridge_lambda)
         rules = self.fit_each(fitter, conditions)
-        assert [rule.experience for rule in rules[-3:]] == [0, 1, 120]
+        assert [rule.experience for rule in rules[-2:]] == [1, 120]
         self.assert_matches_oracle(data, conditions, rules, ridge_lambda)
-        # One stack of nested boxes, with an empty box among them.
-        nested = [*self.nested_boxes(data, rng), conditions[-3]]
+        nested = self.nested_boxes(data, rng)
         self.assert_matches_oracle(data, nested, fit_boxes(fitter, nested), ridge_lambda)
         assert fit_boxes(fitter, []) == []
-        assert fit_boxes(fitter, conditions[-3:-2])[0].is_degenerate
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -477,15 +470,13 @@ class TestRuleFitter:
             assert rule.in_sample_error == pytest.approx(mse, rel=1e-8, abs=1e-12)
 
     def test_non_empty_boxes_must_share_a_row(self):
-        # Discovery's boxes all hold their seed row; empty boxes are set aside first.
+        # Discovery's boxes all hold their seed row. An empty box shares no
+        # row with any box, so a stack that holds one is refused too.
         fitter = RuleFitter(linear_dataset(n=20, noise=0.0), 0.01)
-        left, right, empty = ([-1.0], [-0.5]), ([0.5], [1.0]), ([2.0], [3.0])
-        for boxes in ([left, right], [left, empty, right]):
-            with pytest.raises(ValueError, match="share a matched row"):
+        left, right, empty, full = ([-1.0], [-0.5]), ([0.5], [1.0]), ([2.0], [3.0]), ([-1.0], [1.0])
+        for boxes in ([left, right], [left, empty, right], [left, empty], [full, empty], [empty], [empty, empty]):
+            with pytest.raises(ValueError, match="the boxes of one fit must share a matched row"):
                 fitter.fit(*stacked(boxes, 1))
-        counts, coefficients, intercepts, errors = fitter.fit(*stacked([empty, empty], 1))
-        assert counts.tolist() == [0, 0] and errors.tolist() == [np.inf, np.inf]
-        assert not coefficients.any() and not intercepts.any()
 
 
 class TestRuleFitterBits:
@@ -804,18 +795,13 @@ class TestRulePredictionTableBits:
 
 
 class TestPool:
-    """The pool a :class:`Model` holds: a tuple of non-degenerate rules that
-    span the model's features."""
+    """The pool a :class:`Model` holds: a tuple of rules that span the
+    model's features."""
 
     @staticmethod
     def model(pool, d):
         best = SolutionCandidate(np.zeros(len(pool), dtype=bool), 0.0, 0, 0.0)
         return Model(pool, best, 0.0, np.tile([0.0, 1.0], (d, 1)), TrainingConfig(), ())
-
-    def test_degenerate_rule_rejected(self):
-        degenerate = Rule([0.0], [1.0], np.zeros(1), 0.0, 0, np.inf)
-        with pytest.raises(ValueError, match="rule 1 is degenerate"):
-            self.model([make_rule([0.0], [1.0], [1.0], 0.0), degenerate], 1)
 
     def test_rule_of_another_width_rejected(self):
         pool = [make_rule([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0), make_rule([0.0], [1.0], [1.0], 0.0)]

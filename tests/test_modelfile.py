@@ -96,7 +96,7 @@ class TestRoundTrip:
 
     def test_unserialisable_model_leaves_the_file_as_it_was(self, trained, tmp_path):
         _, model, path = trained
-        broken = replace(model, default_prediction=float("nan"))
+        broken = replace(model, best=replace(model.best, cached_fitness=float("nan")))
         existing, missing = tmp_path / "existing.json", tmp_path / "missing.json"
         existing.write_bytes(Path(path).read_bytes())
         for target in (existing, missing):
@@ -259,7 +259,7 @@ class TestFormatErrors:
             (dict(lower=[0.0, 0.0], upper=[1.0, 1.0], coefficients=[1.0, 2.0]), "rule 0 vectors must have length 1"),
             (dict(lower=[1.0], upper=[0.0]), "rule 0 is invalid: lower bound exceeds upper bound"),
             (dict(fitness=1.5), "rule 0 is invalid: fitness"),
-            (dict(experience=0), "rule 0 is degenerate"),
+            (dict(experience=0), "is invalid: experience"),
         ],
     )
     def test_bad_rule_rejected(self, trained, tmp_path, change, message):

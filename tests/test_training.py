@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import rulemix.model
 import rulemix.training
 from rulemix import (
     CompositionParams,
@@ -18,7 +19,7 @@ from rulemix import (
     save_model,
 )
 from rulemix.composition import evaluate_candidate
-from rulemix.model import RulePredictionTable, solution_residuals
+from rulemix.model import RuleFitter, RulePredictionTable, match_masks, solution_residuals
 from rulemix.training import EARLY_STOP_PHASES
 
 from conftest import linear_dataset, predict_mixed
@@ -147,6 +148,40 @@ class TestFit:
         for previous, pool in zip([()] + pools, pools):
             assert len(pool) == len(previous) + config.discovery.rules_per_phase
             assert all(kept is rule for kept, rule in zip(previous, pool[: len(previous)], strict=True))
+
+    def test_every_fitted_box_holds_a_row_its_stack_shares(self, monkeypatch):
+        # Seed boxes hold their seed row and children only grow their
+        # parent, so no fit, the one-box seed fits included, sees an empty
+        # box or a stack without a common row.
+        fitter_fit = RuleFitter.fit
+        stacks = []
+
+        def recording_fit(self, lowers, uppers):
+            masks = match_masks(lowers, uppers, np.ascontiguousarray(self.data.features.T))
+            stacks.append(masks)
+            return fitter_fit(self, lowers, uppers)
+
+        monkeypatch.setattr(rulemix.model.RuleFitter, "fit", recording_fit)
+        config = quick_config(seed=2, n_phases=3)
+        fit(linear_dataset(n=80, seed=4), config)
+        assert sum(len(masks) == 1 for masks in stacks) == 3 * config.discovery.rules_per_phase
+        assert any(len(masks) == config.discovery.lambda_ for masks in stacks)
+        for masks in stacks:
+            assert masks.any(axis=1).all()
+            assert masks.all(axis=0).any()
+
+    def test_growth_scale_beyond_the_float_range(self):
+        # sigma times a feature's range overflows to an infinite scale, which
+        # grows every bound to the observed one; the suite turns a
+        # floating-point warning into an error.
+        data = linear_dataset(n=40, seed=7)
+        discovery = DiscoveryParams(mutation_sigma=1e308, sigma_init=1e308, rules_per_phase=2, max_iter=20)
+        model = fit(data, quick_config(discovery=discovery, n_phases=2))
+        for rule in model.pool:
+            assert rule.lower.tolist() == data.feature_bounds[:, 0].tolist()
+            assert rule.upper.tolist() == data.feature_bounds[:, 1].tolist()
+        # A small seed box, whose children grow to the observed bounds.
+        fit(data, quick_config(discovery=replace(discovery, sigma_init=0.1), n_phases=2))
 
     def test_early_stop_shortens_history(self, monkeypatch):
         # With the best fitness flat, every phase after the first stalls, so
@@ -280,6 +315,10 @@ class TestModelParts:
             (lambda model: dict(feature_bounds=np.zeros((1, 3))), "feature_bounds must be a non-empty"),
             (lambda model: dict(feature_bounds=[[0.0, 1.0], [0.0]]), "feature_bounds must be a non-empty"),
             (lambda model: dict(feature_bounds=[[0.0, np.inf]]), "feature_bounds must hold"),
+            (lambda model: dict(default_prediction=float("nan")), "default_prediction must be a finite number"),
+            (lambda model: dict(default_prediction=-np.inf), "default_prediction must be a finite number"),
+            (lambda model: dict(default_prediction="abc"), "default_prediction must be a finite number"),
+            (lambda model: dict(default_prediction=True), "default_prediction must be a finite number"),
         ],
         ids=[
             "names-empty",
@@ -291,11 +330,20 @@ class TestModelParts:
             "bounds-3-wide",
             "bounds-ragged",
             "bounds-inf",
+            "default-nan",
+            "default-inf",
+            "default-str",
+            "default-bool",
         ],
     )
     def test_broken_relation_rejected(self, abs_model, change, message):
         with pytest.raises(ValueError, match=message):
             replace(abs_model, **change(abs_model))
+
+    @pytest.mark.parametrize("default", [np.int64(2), 2, np.float32(2.0)])
+    def test_default_prediction_kept_as_float(self, abs_model, default):
+        model = replace(abs_model, default_prediction=default)
+        assert type(model.default_prediction) is float and model.default_prediction == 2.0
 
 
 class TestPredict:
