@@ -3,12 +3,13 @@ a high-residual training example and grows it until fitness stalls."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitness import FitnessParams, rule_fitness
-from .model import Dataset, Rule, RuleFitter, fit_rule
+from .model import Dataset, Rule, RuleFitter
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,14 @@ class DiscoveryParams:
             raise ValueError("lambda_ must be at least 1")
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
-        if self.mutation_sigma <= 0:
-            raise ValueError("mutation_sigma must be positive")
-        if self.sigma_init <= 0:
-            raise ValueError("sigma_init must be positive")
+        if not 0 < self.mutation_sigma < math.inf:
+            raise ValueError("mutation_sigma must be finite and positive")
+        if not 0 < self.sigma_init < math.inf:
+            raise ValueError("sigma_init must be finite and positive")
         if self.rules_per_phase < 1:
             raise ValueError("rules_per_phase must be at least 1")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise ValueError("ridge_lambda must be finite and non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -94,6 +95,16 @@ def _grown_bounds(
     return lowers, uppers
 
 
+def fit_rule(fitter: RuleFitter, lowers: np.ndarray, uppers: np.ndarray, params: DiscoveryParams) -> Rule:
+    """The fittest box of the (boxes x d) bound stacks as a :class:`Rule`
+    (the first of a tie): one ``fitter.fit`` call fits them all and one
+    ``rule_fitness`` call scores them."""
+    counts, coefficients, intercepts, errors = fitter.fit(lowers, uppers)
+    fitnesses = rule_fitness(errors, lowers, uppers, fitter.data.feature_bounds, params.fitness)
+    k = int(np.argmax(fitnesses))
+    return Rule(lowers[k], uppers[k], coefficients[k], intercepts[k], counts[k], errors[k], fitnesses[k])
+
+
 def discover_rule(
     data: Dataset,
     residuals: np.ndarray,
@@ -102,28 +113,23 @@ def discover_rule(
 ) -> Rule:
     """Evolve one rule and return the elitist the stall window settles on.
 
-    Each iteration draws ``lambda_`` mutated children as one stack of bounds,
-    fits and scores them as arrays (one :class:`RuleFitter` call, one
-    ``rule_fitness`` call), and builds a :class:`Rule` only for the fittest
-    child (the first of a tie), that iteration's elitist. The parent is
-    replaced only when strictly improved (plus-selection). The search stops
-    once the elitist from ``delta`` iterations ago is strictly fitter than
-    every elitist since, returning that elitist; after ``max_iter``
-    iterations, or once the parent spans the whole feature box, the best
-    elitist seen wins.
+    One :class:`RuleFitter` serves the whole search, and every rule comes
+    out of the same fit-and-pick step: the seed as a one-box stack, then
+    each iteration's ``lambda_`` mutated children as one stack, of which
+    only the fittest (the first of a tie), that iteration's elitist, becomes
+    a :class:`Rule`. The parent is replaced only when strictly improved
+    (plus-selection). The search stops once the elitist from ``delta``
+    iterations ago is strictly fitter than every elitist since, returning
+    that elitist; after ``max_iter`` iterations, or once the parent spans
+    the whole feature box, the best elitist seen wins.
     """
     bounds = data.feature_bounds
+    fitter = RuleFitter(data, params.ridge_lambda)
     # The seed box holds its own row, and children only grow their parent,
     # so every rule this search fits matches at least one example.
     index = select_seed_example(data, residuals, rng)
     lower, upper = initial_condition(data.features[index], data, params.sigma_init, rng)
-    seed = fit_rule(lower, upper, data, params.ridge_lambda)
-    errors = np.array([seed.in_sample_error])
-    (fitness,) = rule_fitness(errors, lower[None], upper[None], bounds, params.fitness)
-    parent = replace(seed, fitness=fitness)
-
-    # Fits all children of an iteration at once.
-    fitter = RuleFitter(data, params.ridge_lambda)
+    parent = fit_rule(fitter, lower[None], upper[None], params)
 
     elitists = [parent]
     for iteration in range(1, params.max_iter + 1):
@@ -132,10 +138,7 @@ def discover_rule(
         if np.array_equal(parent.lower, bounds[:, 0]) and np.array_equal(parent.upper, bounds[:, 1]):
             break
         lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, params.mutation_sigma, rng, params.lambda_)
-        counts, coefficients, intercepts, errors = fitter.fit(lowers, uppers)
-        fitnesses = rule_fitness(errors, lowers, uppers, bounds, params.fitness)
-        k = int(np.argmax(fitnesses))
-        best_child = Rule(lowers[k], uppers[k], coefficients[k], intercepts[k], counts[k], errors[k], fitnesses[k])
+        best_child = fit_rule(fitter, lowers, uppers, params)
         elitists.append(best_child)
         if best_child.fitness > parent.fitness:
             parent = best_child

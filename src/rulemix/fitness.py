@@ -13,8 +13,8 @@ import numpy as np
 @dataclass(frozen=True)
 class FitnessParams:
     """``alpha`` weighs accuracy against the second objective, ``beta`` sets
-    the slope of the error squashing. Both are positive, and ``alpha`` has a
-    finite square."""
+    the slope of the error squashing. Both are positive, ``alpha`` has a
+    finite square and ``beta`` is finite."""
 
     alpha: float = 0.5
     beta: float = 2.0
@@ -25,8 +25,8 @@ class FitnessParams:
         if not math.isfinite(self.alpha * self.alpha):  # combine squares it
             limit = math.sqrt(np.finfo(float).max)
             raise ValueError(f"alpha must have a finite square, at most {limit:.4g}; got {self.alpha!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
 
 
 def _refuse_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:

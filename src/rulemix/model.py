@@ -299,16 +299,6 @@ def _solve_or_minimum_norm(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-def fit_rule(lower: np.ndarray, upper: np.ndarray, data: Dataset, ridge_lambda: float) -> Rule:
-    """Fit a ridge submodel on the subsample the box from ``lower`` to
-    ``upper`` matches: the one-box call of :class:`RuleFitter`; fitness is
-    left at 0."""
-    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    fits = RuleFitter(data, ridge_lambda).fit(lower[None], upper[None])
-    (count,), (coefficients,), (intercept,), (error,) = fits
-    return Rule(lower, upper, coefficients, intercept, count, error)
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionCandidate:
     """Bit string selecting a subset of the pool, with cached evaluation."""

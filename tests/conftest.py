@@ -9,7 +9,7 @@ import rulemix.discovery
 import rulemix.model
 from rulemix import Dataset, Rule
 from rulemix.discovery import _grown_bounds
-from rulemix.model import MIXING_EPSILON
+from rulemix.model import MIXING_EPSILON, RuleFitter
 
 
 def linear_dataset(n=200, seed=0, noise=0.05, slope=2.0, intercept=1.0):
@@ -91,6 +91,16 @@ def stacked(boxes, d):
     lowers = np.array([lower for lower, _ in boxes], dtype=float).reshape(len(boxes), d)
     uppers = np.array([upper for _, upper in boxes], dtype=float).reshape(len(boxes), d)
     return lowers, uppers
+
+
+def fit_rule(lower, upper, data, ridge_lambda):
+    """Fit a ridge submodel on the subsample the box from ``lower`` to
+    ``upper`` matches: the one-box call of :class:`RuleFitter`; fitness is
+    left at 0."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    fits = RuleFitter(data, ridge_lambda).fit(lower[None], upper[None])
+    (count,), (coefficients,), (intercept,), (error,) = fits
+    return Rule(lower, upper, coefficients, intercept, count, error)
 
 
 def fit_boxes(fitter, boxes):

@@ -13,9 +13,9 @@ from rulemix.composition import compose, evaluate_candidate
 from rulemix.discovery import discover_rule, initial_condition
 from rulemix.fitness import combine, pseudo_accuracy, volume_share
 from rulemix.io.cli import cli
-from rulemix.model import RulePredictionTable, fit_rule
+from rulemix.model import RulePredictionTable
 
-from conftest import grow_condition, rig_scorer
+from conftest import fit_rule, grow_condition, rig_scorer
 
 
 @contextmanager

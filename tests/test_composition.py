@@ -16,9 +16,9 @@ from rulemix.composition import (
     tournament_select,
 )
 from rulemix.discovery import initial_condition
-from rulemix.model import RulePredictionTable, fit_rule
+from rulemix.model import RulePredictionTable
 
-from conftest import linear_dataset, reference_candidate_fitness
+from conftest import fit_rule, linear_dataset, reference_candidate_fitness
 
 
 def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> tuple[Rule, ...]:

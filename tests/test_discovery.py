@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -11,9 +12,18 @@ import rulemix.discovery
 from rulemix import Dataset, DiscoveryParams, FitnessParams
 from rulemix.discovery import _grown_bounds, discover_rule, discover_rules, initial_condition, select_seed_example
 from rulemix.fitness import combine, pseudo_accuracy, rule_fitness, volume_share
-from rulemix.model import RuleFitter, fit_rule
+from rulemix.model import RuleFitter
 
-from conftest import abs_dataset, fit_boxes, grow_condition, linear_dataset, matches, rig_scorer, rules_equal
+from conftest import (
+    abs_dataset,
+    fit_boxes,
+    fit_rule,
+    grow_condition,
+    linear_dataset,
+    matches,
+    rig_scorer,
+    rules_equal,
+)
 
 
 class TestSelectSeedExample:
@@ -366,8 +376,20 @@ def test_discovery_params_validation():
         DiscoveryParams(lambda_=0)
     with pytest.raises(ValueError):
         DiscoveryParams(delta=0)
-    with pytest.raises(ValueError):
-        DiscoveryParams(mutation_sigma=0.0)
-    with pytest.raises(ValueError):
-        DiscoveryParams(ridge_lambda=-0.1)
     assert DiscoveryParams().fitness == FitnessParams(alpha=0.2, beta=2.0)
+    largest = np.finfo(float).max
+    params = DiscoveryParams(mutation_sigma=largest, sigma_init=largest, ridge_lambda=largest)
+    assert params.mutation_sigma == params.sigma_init == params.ridge_lambda == largest
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("name", ["mutation_sigma", "sigma_init"])
+def test_discovery_params_refuse_a_non_finite_or_non_positive_scale(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        DiscoveryParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+def test_discovery_params_refuse_a_non_finite_or_negative_ridge_lambda(value):
+    with pytest.raises(ValueError, match="^ridge_lambda must be finite and non-negative$"):
+        DiscoveryParams(ridge_lambda=value)

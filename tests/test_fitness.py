@@ -279,9 +279,14 @@ def test_one_bad_entry_raises_the_scalar_error(name, stack, scalar):
 def test_params_validation():
     with pytest.raises(ValueError):
         FitnessParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        FitnessParams(beta=-1.0)
     assert FitnessParams(alpha=LARGEST_ALPHA).alpha == LARGEST_ALPHA
+    assert FitnessParams(beta=np.finfo(float).max).beta == np.finfo(float).max
     for alpha in (1e200, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha must have a finite square"):
             FitnessParams(alpha=alpha)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_params_refuse_a_non_finite_or_non_positive_beta(beta):
+    with pytest.raises(ValueError, match="^beta must be finite and positive$"):
+        FitnessParams(beta=beta)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import rulemix.model
 from rulemix import Dataset, Model, Rule, SolutionCandidate, TrainingConfig
 from rulemix.discovery import _grown_bounds
-from rulemix.model import RuleFitter, RulePredictionTable, fit_rule, match_masks, solution_residuals
+from rulemix.model import RuleFitter, RulePredictionTable, match_masks, solution_residuals
 
 from conftest import (
     box_ridge,
     fit_boxes,
+    fit_rule,
     linear_dataset,
     match_mask,
     matches,

@@ -38,9 +38,9 @@ def test_tracer_installs_and_restores(tracing):
     assert [vars(owner)[attr] for owner, attr, _ in tracing.PATCH_POINTS] == before
 
 
-def test_small_fit_enters_every_fit_layer_span(tracing):
-    # A refactor that stops calling a patched name through its module global
-    # would silently read 0 on that layer's metrics.
+@pytest.fixture(scope="module")
+def small_fit_tracer(tracing):
+    """The tracer of one small traced fit."""
     config = TrainingConfig(
         n_phases=2,
         discovery=DiscoveryParams(rules_per_phase=2, lambda_=4, max_iter=20),
@@ -49,9 +49,23 @@ def test_small_fit_enters_every_fit_layer_span(tracing):
     tracer = tracing.Tracer()
     with tracer.installed():
         fit(abs_dataset(n=200), config)
+    return tracer
+
+
+def test_small_fit_enters_every_fit_layer_span(tracing, small_fit_tracer):
+    # A refactor that stops calling a patched name through its module global
+    # would silently read 0 on that layer's metrics.
     fit_spans = {
         name
         for _, _, name in tracing.PATCH_POINTS
         if name.split(".")[0] in ("training", "discovery", "composition", "model")
     } - {"training.Model.predict"}
-    assert sorted(name for name in fit_spans if tracer.calls[name] == 0) == []
+    assert sorted(name for name in fit_spans if small_fit_tracer.calls[name] == 0) == []
+
+
+def test_fit_rule_span_counts_every_fit_of_a_discovery(small_fit_tracer):
+    # The seed and each iteration's children go through one fit-and-score
+    # step, so the fit span is entered once per rule-fitness call.
+    calls = small_fit_tracer.calls
+    assert calls["discovery.fit_rule"] == calls["discovery.rule_fitness"]
+    assert calls["discovery.fit_rule"] > calls["discovery.discover_rule"]
