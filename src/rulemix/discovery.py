@@ -18,7 +18,7 @@ class DiscoveryParams:
 
     ``lambda_`` children are generated per iteration; the search stops when
     the elitist from ``delta`` iterations ago still beats every later elitist,
-    once the parent covers the whole feature box, or after ``max_iter``
+    once the parent matches every example, or after ``max_iter``
     iterations. Mutation scales are relative to each feature's observed range.
 
     The default rule-fitness alpha leans toward accuracy (0.2): it keeps
@@ -63,16 +63,6 @@ def select_seed_example(data: Dataset, residuals: np.ndarray, rng: np.random.Gen
     if total <= 0.0:
         return int(rng.integers(0, data.n_samples))
     return int(rng.choice(data.n_samples, p=weights / total))
-
-
-def initial_condition(
-    x: np.ndarray, data: Dataset, sigma_init: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper bounds of the point box ``[x, x]`` grown once by
-    ``_grown_bounds`` at scale ``sigma_init``. The box always matches ``x``."""
-    x = np.asarray(x, dtype=float)
-    lowers, uppers = _grown_bounds(x, x, data, sigma_init, rng, 1)
-    return lowers[0], uppers[0]
 
 
 def _grown_bounds(
@@ -120,22 +110,22 @@ def discover_rule(
     a :class:`Rule`. The parent is replaced only when strictly improved
     (plus-selection). The search stops once the elitist from ``delta``
     iterations ago is strictly fitter than every elitist since, returning
-    that elitist; after ``max_iter`` iterations, or once the parent spans
-    the whole feature box, the best elitist seen wins.
+    that elitist; after ``max_iter`` iterations, or once the parent matches
+    every example, the best elitist seen wins.
     """
-    bounds = data.feature_bounds
     fitter = RuleFitter(data, params.ridge_lambda)
-    # The seed box holds its own row, and children only grow their parent,
-    # so every rule this search fits matches at least one example.
-    index = select_seed_example(data, residuals, rng)
-    lower, upper = initial_condition(data.features[index], data, params.sigma_init, rng)
-    parent = fit_rule(fitter, lower[None], upper[None], params)
+    # The seed box is the seed row grown once, so it holds that row, and
+    # children only grow their parent: every rule this search fits matches
+    # at least one example.
+    seed = data.features[select_seed_example(data, residuals, rng)]
+    parent = fit_rule(fitter, *_grown_bounds(seed, seed, data, params.sigma_init, rng, 1), params)
 
     elitists = [parent]
     for iteration in range(1, params.max_iter + 1):
-        # A parent spanning the whole feature box breeds only copies of equal
+        # Growth clips every bound to the feature box, so a parent that
+        # matches every example spans it and breeds only copies of equal
         # fitness: the stall window can never fire and the best elitist is final.
-        if np.array_equal(parent.lower, bounds[:, 0]) and np.array_equal(parent.upper, bounds[:, 1]):
+        if parent.experience == data.n_samples:
             break
         lowers, uppers = _grown_bounds(parent.lower, parent.upper, data, params.mutation_sigma, rng, params.lambda_)
         best_child = fit_rule(fitter, lowers, uppers, params)

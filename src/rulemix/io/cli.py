@@ -16,7 +16,7 @@ from .config import ConfigError, config_from_flat, config_to_flat, load_config
 from .dataio import DataError, load_csv_with_names, load_feature_matrix
 from ..model import Dataset
 from .modelfile import ModelFormatError, load_model, save_model
-from ..training import fit
+from ..training import Model, fit
 
 
 class _UsageError(Exception):
@@ -55,6 +55,18 @@ def _check_trainable(dataset: Dataset, target_name: str, header: bool) -> None:
         raise DataError(f"target column {label} is constant")
 
 
+def _check_columns(model: Model, path: str, width: int, names: list[str] | None) -> None:
+    """Refuse feature columns that are not the model's: a count other than
+    its own, or, when the file and the model both name them, other names or
+    another order. Unnamed columns are taken by position."""
+    if width != model.n_features:
+        raise DataError(f"{path} has {width} feature columns but the model expects {model.n_features}")
+    if names is not None and model.feature_names is not None and tuple(names) != model.feature_names:
+        raise DataError(
+            f"{path} has feature columns {names} but the model was fitted on {list(model.feature_names)}"
+        )
+
+
 def _cmd_fit(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -66,9 +78,13 @@ def _cmd_fit(args) -> int:
     dataset, feature_names, target_name = load_csv_with_names(
         args.data, args.target, header=not args.no_header
     )
+    repeated = [name for j, name in enumerate(feature_names or ()) if name in feature_names[:j]]
+    if repeated:
+        raise DataError(f"feature column {repeated[0]!r} appears {feature_names.count(repeated[0])} times")
     _check_trainable(dataset, target_name, header=not args.no_header)
     model = fit(dataset, config)
-    model = replace(model, target_column=target_name, feature_names=tuple(feature_names))
+    names = None if feature_names is None else tuple(feature_names)
+    model = replace(model, target_column=target_name, feature_names=names)
     with _writing(args.out):
         save_model(model, args.out)
     print(f"phases={len(model.history)}")
@@ -79,11 +95,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    X, _ = load_feature_matrix(args.data, header=not args.no_header)
-    if X.shape[1] != model.n_features:
-        raise DataError(
-            f"{args.data} has {X.shape[1]} feature columns but the model expects {model.n_features}"
-        )
+    X, names = load_feature_matrix(args.data, header=not args.no_header)
+    _check_columns(model, args.data, X.shape[1], names)
     predictions = model.predict(X)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("prediction\r\n")
@@ -98,11 +111,8 @@ def _cmd_eval(args) -> int:
     target = args.target if args.target is not None else model.target_column
     if target is None:
         raise _UsageError("model records no target column; pass --target")
-    dataset, _, _ = load_csv_with_names(args.data, target, header=not args.no_header)
-    if dataset.n_features != model.n_features:
-        raise DataError(
-            f"{args.data} has {dataset.n_features} feature columns but the model expects {model.n_features}"
-        )
+    dataset, names, _ = load_csv_with_names(args.data, target, header=not args.no_header)
+    _check_columns(model, args.data, dataset.n_features, names)
     _print_metrics(model.score(dataset))
     return 0
 
@@ -157,11 +167,7 @@ def _cmd_cv(args) -> int:
 def _cmd_inspect(args) -> int:
     model = load_model(args.model)
     selected = model.selected_rules()
-    names = (
-        list(model.feature_names)
-        if model.feature_names is not None
-        else [f"x{j}" for j in range(model.n_features)]
-    )
+    names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
     print(f"pool_size={len(model.pool)} selected={len(selected)}")
     print(f"default_prediction={model.default_prediction:.6g}")
     for index, rule in selected:

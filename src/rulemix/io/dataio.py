@@ -157,13 +157,13 @@ def _resolve_target(target_column: Union[str, int], names: list[str] | None, wid
 
 def load_csv_with_names(
     path: str, target_column: Union[str, int], header: bool = True
-) -> tuple[Dataset, list[str], str]:
+) -> tuple[Dataset, list[str] | None, str]:
     """Parse a rectangular numeric CSV into a dataset.
 
-    Returns the dataset, the feature column names (positional ``x{i}`` names
-    when the file has no header), and the resolved target column name. A
-    ragged row or a non-numeric or non-finite cell raises ``DataError``
-    naming the first one in row order.
+    Returns the dataset, the feature column names (``None`` when the file
+    has no header), and the resolved target column name (its index as a
+    string without a header). A ragged row or a non-numeric or non-finite
+    cell raises ``DataError`` naming the first one in row order.
     """
     matrix, names = _load_table(path, header)
     width = matrix.shape[1]
@@ -173,18 +173,12 @@ def load_csv_with_names(
     target_index = _resolve_target(target_column, names, width)
     targets = matrix[:, target_index]
     features = np.delete(matrix, target_index, axis=1)
-
-    if names is not None:
-        feature_names = [name for j, name in enumerate(names) if j != target_index]
-        target_name = names[target_index]
-    else:
-        feature_names = [f"x{j}" for j in range(width - 1)]
-        target_name = str(target_index)
-    return Dataset(features, targets), feature_names, target_name
+    if names is None:
+        return Dataset(features, targets), None, str(target_index)
+    return Dataset(features, targets), names[:target_index] + names[target_index + 1 :], names[target_index]
 
 
-def load_feature_matrix(path: str, header: bool = True) -> tuple[np.ndarray, list[str]]:
-    """Parse a features-only CSV (no target column) into a matrix."""
-    matrix, names = _load_table(path, header)
-    feature_names = names if names is not None else [f"x{j}" for j in range(matrix.shape[1])]
-    return matrix, feature_names
+def load_feature_matrix(path: str, header: bool = True) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a features-only CSV (no target column) into a matrix, and its
+    header names (``None`` without a header)."""
+    return _load_table(path, header)

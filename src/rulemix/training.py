@@ -127,10 +127,12 @@ class Model:
         return [(int(i), self.pool[int(i)]) for i in np.flatnonzero(self.best.genome)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Mixed prediction for each row of ``X``."""
+        """Mixed prediction for each row of ``X``, which must be finite."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected matrix with {self.n_features} columns, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("X contains non-finite values")
         rules = [rule for _, rule in self.selected_rules()]
         table = RulePredictionTable.build(rules, X)
         return table.mixed(np.ones((1, len(rules))), self.default_prediction)[0]

@@ -85,6 +85,14 @@ def grow_condition(box, data, sigma, rng):
     return lowers[0], uppers[0]
 
 
+def initial_condition(x, data, sigma_init, rng):
+    """The ``(lower, upper)`` bounds of the point box ``[x, x]`` grown once at
+    scale ``sigma_init``, as discovery draws its seed box. The box always
+    matches ``x``."""
+    x = np.asarray(x, dtype=float)
+    return grow_condition((x, x), data, sigma_init, rng)
+
+
 def stacked(boxes, d):
     """The (boxes x d) lower and upper bound stacks of the ``(lower, upper)``
     pairs ``boxes``."""

@@ -10,12 +10,12 @@ import pytest
 
 import rulemix as rm
 from rulemix.composition import compose, evaluate_candidate
-from rulemix.discovery import discover_rule, initial_condition
+from rulemix.discovery import discover_rule
 from rulemix.fitness import combine, pseudo_accuracy, volume_share
 from rulemix.io.cli import cli
 from rulemix.model import RulePredictionTable
 
-from conftest import fit_rule, grow_condition, rig_scorer
+from conftest import fit_rule, grow_condition, initial_condition, rig_scorer
 
 
 @contextmanager

@@ -32,11 +32,14 @@ composition.generations_per_phase = 8
 """
 
 
-def write_csv(path, X, y=None, header=True):
+def write_csv(path, X, y=None, header=True, names=None):
+    """``X`` (and ``y``) as CSV, under the header ``names``: by default
+    ``x0, x1, …`` and ``y``."""
     lines = []
     d = X.shape[1]
     if header:
-        names = [f"x{j}" for j in range(d)] + (["y"] if y is not None else [])
+        if names is None:
+            names = [f"x{j}" for j in range(d)] + (["y"] if y is not None else [])
         lines.append(",".join(names))
     for i in range(X.shape[0]):
         row = [format(v, ".17g") for v in X[i]]
@@ -161,6 +164,71 @@ class TestPredictAndEval:
         assert cli(["eval", "--model", str(model_path), "--data", labeled]) == 0
         values = parse_kv(capsys.readouterr().out)
         assert float(values["r2"]) in (0.0, 1.0)
+
+
+@pytest.fixture
+def named_model(workspace, capsys):
+    """The path of a model fitted on a file with header ``a,b,y``, and a
+    features matrix to serve it."""
+    tmp_path, _, config = workspace
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(60, 2))
+    train = write_csv(tmp_path / "ab.csv", X, 3.0 * np.abs(X[:, 0]) + 0.1 * X[:, 1], names=["a", "b", "y"])
+    out = tmp_path / "ab.json"
+    assert cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return str(out), X[:10]
+
+
+class TestServedColumns:
+    @pytest.mark.parametrize("names", [["b", "a"], ["c", "d"]], ids=["swapped", "renamed"])
+    def test_other_header_is_data_error(self, named_model, tmp_path, capsys, names):
+        model, X = named_model
+        features = write_csv(tmp_path / "f.csv", X, names=names)
+        out = tmp_path / "p.csv"
+        assert cli(["predict", "--model", model, "--data", features, "--out", str(out)]) == 2
+        assert single_error_line(capsys) == (
+            f"error: {features} has feature columns {names!r} but the model was fitted on ['a', 'b']"
+        )
+        assert not out.exists()
+
+    def test_eval_of_swapped_header_is_data_error(self, named_model, tmp_path, capsys):
+        model, X = named_model
+        labeled = write_csv(tmp_path / "l.csv", X, np.abs(X[:, 0]), names=["b", "a", "y"])
+        assert cli(["eval", "--model", model, "--data", labeled]) == 2
+        assert "has feature columns ['b', 'a'] but the model was fitted on ['a', 'b']" in single_error_line(capsys)
+
+    def test_headerless_file_is_served_by_position(self, named_model, tmp_path, capsys):
+        model, X = named_model
+        out = {}
+        for header in (True, False):
+            features = write_csv(tmp_path / f"f{header}.csv", X, header=header, names=["a", "b"])
+            out[header] = tmp_path / f"p{header}.csv"
+            args = ["predict", "--model", model, "--data", features, "--out", str(out[header])]
+            assert cli(args + ([] if header else ["--no-header"])) == 0
+        capsys.readouterr()
+        assert out[True].read_bytes() == out[False].read_bytes()
+
+    def test_headerless_fit_records_no_names(self, workspace, tmp_path, capsys):
+        _, _, config = workspace
+        data = linear_dataset(n=60, seed=20)
+        train = write_csv(tmp_path / "headless.csv", data.features, data.targets, header=False)
+        out = tmp_path / "m.json"
+        args = ["fit", "--data", train, "--target", "1", "--config", config, "--out", str(out), "--no-header"]
+        assert cli(args) == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["feature_names"] is None and document["target_column"] == "1"
+        capsys.readouterr()
+        assert cli(["inspect", "--model", str(out)]) == 0
+        assert "\n  x0 in [" in capsys.readouterr().out
+
+    def test_fit_on_a_repeated_feature_name_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, config = workspace
+        X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(20, 2))
+        train = write_csv(tmp_path / "aa.csv", X, X[:, 0], names=["a", "a", "y"])
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--data", train, "--target", "y", "--config", config, "--out", str(out)]) == 2
+        assert single_error_line(capsys) == "error: feature column 'a' appears 2 times"
+        assert not out.exists()
 
 
 class TestCv:

@@ -15,10 +15,9 @@ from rulemix.composition import (
     rank_positions,
     tournament_select,
 )
-from rulemix.discovery import initial_condition
 from rulemix.model import RulePredictionTable
 
-from conftest import fit_rule, linear_dataset, reference_candidate_fitness
+from conftest import fit_rule, initial_condition, linear_dataset, reference_candidate_fitness
 
 
 def build_pool(data: Dataset, count: int, seed: int = 0, sigma: float = 0.3) -> tuple[Rule, ...]:

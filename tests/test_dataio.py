@@ -76,7 +76,7 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "0,0\n1,2\n2,4\n")
         data, names, target = load_csv_with_names(path, 1, header=False)
         assert data.n_samples == 3
-        assert names == ["x0"]
+        assert names is None
         assert target == "1"
 
     def test_missing_target_names_available_columns(self, tmp_path):
@@ -190,7 +190,7 @@ class TestLoadFeatureMatrix:
         path = write(tmp_path, "f.csv", "0,1\n2,3\n")
         X, names = load_feature_matrix(path, header=False)
         assert X.shape == (2, 2)
-        assert names == ["x0", "x1"]
+        assert names is None
 
 
 # Pieces of CSV-like input: numbers and separators, quoting, every line

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import rulemix.discovery
 from rulemix import Dataset, DiscoveryParams, FitnessParams
-from rulemix.discovery import _grown_bounds, discover_rule, discover_rules, initial_condition, select_seed_example
+from rulemix.discovery import _grown_bounds, discover_rule, discover_rules, select_seed_example
 from rulemix.fitness import combine, pseudo_accuracy, rule_fitness, volume_share
 from rulemix.model import RuleFitter
 
@@ -19,6 +19,7 @@ from conftest import (
     fit_boxes,
     fit_rule,
     grow_condition,
+    initial_condition,
     linear_dataset,
     matches,
     rig_scorer,

@@ -406,6 +406,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, abs_model, value):
+        # Such a row lies in no box, so it would get the default prediction.
+        with pytest.raises(ValueError, match="non-finite"):
+            abs_model.predict([[0.5], [value]])
+
 
 class TestScore:
     def test_perfect_predictions(self):
