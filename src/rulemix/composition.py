@@ -78,11 +78,15 @@ def rank_positions(fitness: np.ndarray, complexity: np.ndarray) -> np.ndarray:
     return positions
 
 
-def tournament_select(positions: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """Draw ``k`` members uniformly with replacement and return the index of
-    the one ranked first, given every member's :func:`rank_positions` place."""
-    draws = rng.integers(0, len(positions), size=k)
-    return int(draws[positions[draws].argmin()])
+def tournament_select(positions: np.ndarray, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The indices of ``count`` tournament winners, given every member's
+    :func:`rank_positions` place.
+
+    One ``(count, k)`` block of members is drawn uniformly with replacement;
+    each row's winner is its member ranked first.
+    """
+    draws = rng.integers(0, len(positions), size=(count, k))
+    return draws[np.arange(count), positions[draws].argmin(axis=1)]
 
 
 def crossover_npoint(
@@ -92,29 +96,30 @@ def crossover_npoint(
     crossover_prob: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n-point crossover of two boolean bit strings, producing two
-    complementary children.
+    """n-point crossover of the (pairs x bits) boolean stacks ``a`` and ``b``,
+    row by row, producing two stacks of complementary children.
 
-    With probability ``1 - crossover_prob`` the parents are returned as
-    copies. Otherwise ``n_points`` distinct cut positions are drawn uniformly
-    and segments alternate between the parents, so at every position the
-    children jointly hold exactly the two parent bits.
+    One ``random(pairs)`` draw decides which pairs cross, each with
+    probability ``crossover_prob``; a pair that does not is copied. Then one
+    ``random((pairs, bits - 1))`` block keys the cut positions 1 .. bits - 1
+    of every pair, and a pair cuts at its ``n_points`` smallest keys. Segments
+    alternate between the parents starting with ``a``, so at every position
+    the children jointly hold exactly the two parent bits.
     """
-    length = a.shape[0]
-    if rng.random() >= crossover_prob:
-        return a.copy(), b.copy()
-    # Cut positions 1 .. length - 1: the same draws as choosing from that range.
-    cuts = rng.choice(length - 1, size=n_points, replace=False) + 1
-    # Segments alternate at each cut, starting with ``a``.
-    at_cut = np.zeros(length, dtype=bool)
-    at_cut[cuts] = True
-    from_b = np.logical_xor.accumulate(at_cut)
+    pairs, length = a.shape
+    cross = rng.random(pairs) < crossover_prob
+    keys = rng.random((pairs, length - 1))
+    cuts = np.argsort(keys, axis=1, kind="stable")[:, :n_points] + 1
+    at_cut = np.zeros((pairs, length), dtype=bool)
+    at_cut[np.arange(pairs)[:, None], cuts] = True
+    from_b = np.logical_xor.accumulate(at_cut, axis=1) & cross[:, None]
     return np.where(from_b, b, a), np.where(from_b, a, b)
 
 
-def mutate_bits(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit of the boolean ``genome`` independently with probability ``rate``."""
-    return genome ^ (rng.random(genome.shape[0]) < rate)
+def mutate_bits(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit of the boolean stack ``genomes`` independently with
+    probability ``rate``, from one draw of its shape."""
+    return genomes ^ (rng.random(genomes.shape) < rate)
 
 
 def compose(
@@ -131,8 +136,15 @@ def compose(
     carried over, zero-padded to the current pool size and cut to
     ``population_size``; random genomes fill any remaining rows. Each
     generation is bred in full, then scored: the top ``elitists`` carry over
-    unchanged, and tournament selection, crossover and bit-flip mutation
-    breed the rest from the previous population. Every pick uses one order:
+    unchanged, and the ``n_children`` others are bred from the previous
+    population as ``ceil(n_children / 2)`` pairs. The breeding operators each
+    run once per generation, over the whole stack, so a generation makes its
+    draws in three blocks: :func:`tournament_select` draws every
+    tournament's members (pair i takes winners 2i and 2i + 1);
+    :func:`crossover_npoint` draws which pairs cross and the keys of their
+    cuts (no draw when the pool has one rule, so no cut position); and
+    :func:`mutate_bits` draws the flips of the children kept, interleaved
+    a0, b0, a1, b1, ... and cut to ``n_children``. Every pick uses one order:
     higher fitness, then fewer rules, then first seen. The previous
     population is ranked by it once per generation, and tournaments compare
     the resulting places. Rules themselves are never touched.
@@ -171,22 +183,18 @@ def compose(
 
     # A 1-bit genome admits no cut position; crossover degrades to copying.
     cut_points = min(params.crossover_points, n - 1)
-
+    pairs = (n_children + 1) // 2
     for _ in range(params.generations_per_phase):
         positions = rank_positions(fitness, complexity)
-        children = []
-        while len(children) < n_children:
-            parent1 = genomes[tournament_select(positions, params.tournament_k, rng)]
-            parent2 = genomes[tournament_select(positions, params.tournament_k, rng)]
-            if cut_points >= 1:
-                pair = crossover_npoint(parent1, parent2, cut_points, params.crossover_prob, rng)
-            else:
-                pair = (parent1, parent2)
-            # With one place left, the second child is dropped unmutated.
-            for genome in pair[: n_children - len(children)]:
-                children.append(mutate_bits(genome, params.mutation_rate, rng))
+        # Rows 2i and 2i + 1 are pair i; an odd count drops the last row unmutated.
+        children = genomes[tournament_select(positions, params.tournament_k, 2 * pairs, rng)]
+        if cut_points >= 1:
+            children[0::2], children[1::2] = crossover_npoint(
+                children[0::2], children[1::2], cut_points, params.crossover_prob, rng
+            )
+        children = mutate_bits(children[:n_children], params.mutation_rate, rng)
         elitists = np.argsort(positions)[: params.elitists]
-        genomes = np.vstack([genomes[elitists], *children])
+        genomes = np.concatenate([genomes[elitists], children])
         _, complexity, fitness = score(genomes)
 
     _, complexity, fitness = (np.array(column) for column in zip(*scored.values()))

@@ -130,43 +130,42 @@ class TestTournamentSelect:
         complexity = np.array([candidate.cached_complexity for candidate in population])
         return rank_positions(fitness, complexity)
 
-    def select(self, population, k, rng):
-        return population[tournament_select(self.ranks(population), k, rng)]
+    def select(self, population, k, count, rng):
+        return [population[i] for i in tournament_select(self.ranks(population), k, count, rng)]
 
     def test_k_one_is_uniform(self):
         population = self._population([0.9, 0.1])
-        rng = np.random.default_rng(0)
         draws = 10_000
-        hits = sum(self.select(population, 1, rng).cached_fitness == 0.9 for _ in range(draws))
+        winners = self.select(population, 1, draws, np.random.default_rng(0))
+        hits = sum(winner.cached_fitness == 0.9 for winner in winners)
         sigma = np.sqrt(0.25 / draws)
         assert abs(hits / draws - 0.5) <= 3 * sigma
 
     def test_pairwise_win_probability(self):
         # Oracle: 4 equally likely draw pairs; the fitter member appears in 3.
         population = self._population([0.9, 0.1])
-        rng = np.random.default_rng(1)
         draws = 10_000
         expected = 3 / 4
-        hits = sum(self.select(population, 2, rng).cached_fitness == 0.9 for _ in range(draws))
+        winners = self.select(population, 2, draws, np.random.default_rng(1))
+        hits = sum(winner.cached_fitness == 0.9 for winner in winners)
         sigma = np.sqrt(expected * (1 - expected) / draws)
         assert abs(hits / draws - expected) <= 3 * sigma
 
     def test_ties_prefer_lower_complexity(self):
         population = self._population([0.5, 0.5, 0.5], complexities=[3, 1, 2])
         assert self.ranks(population).tolist() == [2, 0, 1]
-        rng = np.random.default_rng(2)
-        winner = self.select(population, len(population) * 20, rng)
-        assert winner.cached_complexity == 1
+        winners = self.select(population, len(population) * 20, 5, np.random.default_rng(2))
+        assert [winner.cached_complexity for winner in winners] == [1] * 5
 
     def test_full_ties_prefer_earlier_index(self):
-        # Equal fitness and complexity: the lowest drawn population index wins,
-        # whatever order the draws came in.
+        # Equal fitness and complexity: each row's lowest drawn population
+        # index wins, whatever order the draws came in.
         population = self._population([0.5] * 4, complexities=[2] * 4)
         assert self.ranks(population).tolist() == [0, 1, 2, 3]
         for seed in range(20):
-            draws = np.random.default_rng(seed).integers(0, 4, size=3)
-            winner = self.select(population, 3, np.random.default_rng(seed))
-            assert winner is population[draws.min()]
+            draws = np.random.default_rng(seed).integers(0, 4, size=(6, 3))
+            winners = self.select(population, 3, 6, np.random.default_rng(seed))
+            assert all(winner is population[i] for winner, i in zip(winners, draws.min(axis=1)))
 
     def test_positions_follow_fitness_then_complexity_then_index(self):
         population = self._population([0.2, 0.9, 0.5, 0.9, 0.5], complexities=[1, 3, 2, 2, 2])
@@ -179,11 +178,12 @@ class TestTournamentSelect:
         population = self._population(rng.integers(0, 3, size=9) / 4, complexities=list(rng.integers(0, 4, size=9)))
         positions = self.ranks(population)
         for seed in range(50):
-            draws = np.random.default_rng(seed).integers(0, 9, size=4)
-            expected = min(
-                draws, key=lambda i: (-population[i].cached_fitness, population[i].cached_complexity, int(i))
-            )
-            assert tournament_select(positions, 4, np.random.default_rng(seed)) == expected
+            draws = np.random.default_rng(seed).integers(0, 9, size=(3, 4))
+            expected = [
+                min(row, key=lambda i: (-population[i].cached_fitness, population[i].cached_complexity, int(i)))
+                for row in draws
+            ]
+            assert tournament_select(positions, 4, 3, np.random.default_rng(seed)).tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,68 +204,109 @@ def test_rank_positions_match_the_explicit_sort(members):
     assert rank_positions(fitness, complexity).tolist() == expected.tolist()
 
 
+def cut_oracle(a, b, n_points, crossover_prob, rng):
+    """Loop oracle of one stack's crossover: replay the draws, cut each
+    crossing pair after its ``n_points`` smallest keys (the earlier position
+    first among equal keys), then alternate segments starting with ``a``."""
+    pairs, length = a.shape
+    cross = rng.random(pairs) < crossover_prob
+    keys = rng.random((pairs, length - 1))
+    first, second = a.copy(), b.copy()
+    for row in range(pairs):
+        if not cross[row]:
+            continue
+        cuts = {1 + j for j in sorted(range(length - 1), key=lambda j: keys[row, j])[:n_points]}
+        take_a = True
+        for position in range(length):
+            take_a ^= position in cuts
+            first[row, position] = a[row, position] if take_a else b[row, position]
+            second[row, position] = b[row, position] if take_a else a[row, position]
+    return first, second
+
+
 class TestCrossover:
     def test_zero_probability_copies_parents(self):
         rng = np.random.default_rng(0)
-        a = np.array([1, 1, 0, 0, 1], dtype=bool)
-        b = np.array([0, 1, 1, 0, 0], dtype=bool)
+        a = np.array([[1, 1, 0, 0, 1], [0, 0, 0, 1, 1]], dtype=bool)
+        b = np.array([[0, 1, 1, 0, 0], [1, 1, 0, 1, 0]], dtype=bool)
         c1, c2 = crossover_npoint(a, b, 2, 0.0, rng)
         assert np.array_equal(c1, a) and np.array_equal(c2, b)
         assert c1 is not a and c2 is not b
 
+    def test_pairs_that_do_not_cross_are_copied(self):
+        # Oracle: replay the cross draw; every other pair is returned as is.
+        a = np.ones((40, 9), dtype=bool)
+        b = np.zeros((40, 9), dtype=bool)
+        for seed in range(5):
+            cross = np.random.default_rng(seed).random(40) < 0.5
+            c1, c2 = crossover_npoint(a, b, 3, 0.5, np.random.default_rng(seed))
+            assert 0 < cross.sum() < 40
+            assert np.array_equal(c1[~cross], a[~cross]) and np.array_equal(c2[~cross], b[~cross])
+            assert not np.array_equal(c1[cross], a[cross])
+            assert not np.shares_memory(c1, a) and not np.shares_memory(c2, b)
+
     def test_identical_parents_unchanged(self):
         rng = np.random.default_rng(1)
-        a = np.array([1, 0, 1, 0, 1, 1], dtype=bool)
+        a = np.array([[1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 1]], dtype=bool)
         for _ in range(10):
             c1, c2 = crossover_npoint(a, a.copy(), 3, 1.0, rng)
             assert np.array_equal(c1, a) and np.array_equal(c2, a)
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.integers(1, 5), st.integers(0, 100))
     def test_children_conserve_parent_bits_positionwise(self, abits, bbits, n_points, seed):
-        a = np.array([(abits >> i) & 1 for i in range(12)], dtype=bool)
-        b = np.array([(bbits >> i) & 1 for i in range(12)], dtype=bool)
+        a = np.array([[(abits >> i) & 1 for i in range(12)], [(bbits >> i) & 1 for i in range(12)]], dtype=bool)
+        b = a[::-1]
         c1, c2 = crossover_npoint(a, b, n_points, 1.0, np.random.default_rng(seed))
-        for i in range(12):
-            assert {c1[i], c2[i]} == {a[i], b[i]}
+        for row, i in itertools.product(range(2), range(12)):
+            assert {c1[row, i], c2[row, i]} == {a[row, i], b[row, i]}
 
     def test_single_point_swaps_a_suffix(self):
-        a = np.ones(8, dtype=bool)
-        b = np.zeros(8, dtype=bool)
+        a = np.ones((6, 8), dtype=bool)
+        b = np.zeros((6, 8), dtype=bool)
         c1, c2 = crossover_npoint(a, b, 1, 1.0, np.random.default_rng(3))
-        flips = np.flatnonzero(c1 != a)
-        assert np.array_equal(flips, np.arange(flips[0], 8))
-        assert np.array_equal(c1 ^ c2, np.ones(8, dtype=bool))
+        for row in c1:
+            flips = np.flatnonzero(~row)
+            assert flips[0] >= 1 and np.array_equal(flips, np.arange(flips[0], 8))
+        assert np.array_equal(c1 ^ c2, np.ones((6, 8), dtype=bool))
+
+    @pytest.mark.parametrize("n_points", [1, 2, 5, 9])
+    def test_complementary_parents_switch_n_points_times(self, n_points):
+        # Every bit differs between the parents, so each cut shows as one
+        # switch of the child's source; position 0 always comes from a.
+        rng = np.random.default_rng(n_points)
+        a = rng.random((30, 10)) < 0.5
+        c1, c2 = crossover_npoint(a, ~a, n_points, 1.0, rng)
+        from_b = c1 != a
+        assert not from_b[:, 0].any()
+        assert (from_b[:, 1:] != from_b[:, :-1]).sum(axis=1).tolist() == [n_points] * 30
+        assert np.array_equal(c2, ~c1)
 
     @pytest.mark.parametrize("n_points", [3, 4, 7])
     def test_multi_cut_segments_match_loop_oracle(self, n_points):
-        # Oracle: replay the cut draws, then alternate segments starting with a.
-        a = np.ones(12, dtype=bool)
-        b = np.zeros(12, dtype=bool)
+        a = np.random.default_rng(n_points).random((5, 12)) < 0.5
+        b = np.random.default_rng(n_points + 1).random((5, 12)) < 0.5
         for seed in range(10):
+            expected = cut_oracle(a, b, n_points, 0.9, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
-            rng.random()  # the crossover_prob draw
-            cuts = np.sort(rng.choice(np.arange(1, 12), size=n_points, replace=False))
-            from_a = np.zeros(12, dtype=bool)
-            take, start = True, 0
-            for cut in [*cuts.tolist(), 12]:
-                from_a[start:cut] = take
-                take, start = not take, cut
-            c1, c2 = crossover_npoint(a, b, n_points, 1.0, np.random.default_rng(seed))
-            assert np.array_equal(c1, from_a) and np.array_equal(c2, ~from_a)
+            c1, c2 = crossover_npoint(a, b, n_points, 0.9, rng)
+            assert np.array_equal(c1, expected[0]) and np.array_equal(c2, expected[1])
+            replay = np.random.default_rng(seed)
+            replay.random(5 + 5 * 11)
+            assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestMutateBits:
     def test_rate_zero_is_identity(self):
-        genome = np.array([1, 0, 1], dtype=bool)
-        assert np.array_equal(mutate_bits(genome, 0.0, np.random.default_rng(0)), genome)
+        genomes = np.array([[1, 0, 1], [0, 0, 1]], dtype=bool)
+        assert np.array_equal(mutate_bits(genomes, 0.0, np.random.default_rng(0)), genomes)
 
     def test_rate_one_is_complement(self):
-        genome = np.array([1, 0, 1], dtype=bool)
-        assert np.array_equal(mutate_bits(genome, 1.0, np.random.default_rng(0)), ~genome)
+        genomes = np.array([[1, 0, 1], [0, 0, 1]], dtype=bool)
+        assert np.array_equal(mutate_bits(genomes, 1.0, np.random.default_rng(0)), ~genomes)
 
     def test_flip_count_within_three_sigma(self):
-        genome = np.zeros(1000, dtype=bool)
-        flipped = mutate_bits(genome, 0.5, np.random.default_rng(4)).sum()
+        genomes = np.zeros((10, 100), dtype=bool)
+        flipped = mutate_bits(genomes, 0.5, np.random.default_rng(4)).sum()
         sigma = np.sqrt(1000 * 0.25)
         assert abs(flipped - 500) <= 3 * sigma
 
@@ -355,10 +396,10 @@ class TestComposeMemo:
             scored.extend(genome.tobytes() for genome in np.asarray(genomes, dtype=bool))
             return evaluate_candidate(genomes, *args)
 
-        def recording_mutate(genome, rate, rng):
-            child = mutate_bits(genome, rate, rng)
-            children.append(child.tobytes())
-            return child
+        def recording_mutate(genomes, rate, rng):
+            bred = mutate_bits(genomes, rate, rng)
+            children.extend(child.tobytes() for child in bred)
+            return bred
 
         monkeypatch.setattr(rulemix.composition, "evaluate_candidate", counting_evaluate)
         monkeypatch.setattr(rulemix.composition, "mutate_bits", recording_mutate)
@@ -404,12 +445,16 @@ class TestComposeBest:
             return scores
 
         monkeypatch.setattr(rulemix.composition, "evaluate_candidate", recording_evaluate)
-        best, genomes = compose(pool, square_dataset, params, np.random.default_rng(5))
-        first = min(range(len(rows)), key=lambda i: (-rows[i][3], rows[i][2], i))
-        assert summary(best) == rows[first]
-        if elitists == 0:
-            # Without elitists the best can be bred out of the final population.
-            assert best.genome.tobytes() not in {genome.tobytes() for genome in genomes}
+        bred_out = []
+        for seed in range(8):
+            rows.clear()
+            best, genomes = compose(pool, square_dataset, params, np.random.default_rng(seed))
+            first = min(range(len(rows)), key=lambda i: (-rows[i][3], rows[i][2], i))
+            assert summary(best) == rows[first]
+            bred_out.append(best.genome.tobytes() not in {genome.tobytes() for genome in genomes})
+        # Without elitists the best can be bred out of the final population,
+        # and some seed must show it.
+        assert any(bred_out) or elitists > 0
 
 
 class TestWarmStart:
@@ -450,7 +495,11 @@ class TestWarmStart:
 def interleaved_compose(pool, data, params, rng, warm_genomes=None):
     """Reference GA loop that scores each child as soon as it is bred and
     picks every winner by explicit comparison: higher fitness, then fewer
-    rules, then first seen (the earlier index in a tournament)."""
+    rules, then first seen (the earlier index in a tournament).
+
+    A generation makes its draws in three blocks: every tournament's
+    members, then (given a cut position) which pairs cross and the keys of
+    their cuts, then the mutation flips of every child."""
     table = RulePredictionTable.build(pool, data.features)
     n, size = len(pool), params.population_size
 
@@ -461,9 +510,9 @@ def interleaved_compose(pool, data, params, rng, warm_genomes=None):
             return b
         return a
 
-    def tournament(population):
+    def tournament(population, draws):
         best_key = winner = None
-        for index in rng.integers(0, len(population), size=params.tournament_k):
+        for index in draws:
             key = (-population[index].cached_fitness, population[index].cached_complexity, int(index))
             if best_key is None or key < best_key:
                 best_key, winner = key, population[index]
@@ -480,21 +529,22 @@ def interleaved_compose(pool, data, params, rng, warm_genomes=None):
     for candidate in population[1:]:
         best = better(best, candidate)
     cut_points = min(params.crossover_points, n - 1)
+    n_children = size - params.elitists
+    pairs = (n_children + 1) // 2
     for _ in range(params.generations_per_phase):
         ranked = sorted(population, key=lambda c: (-c.cached_fitness, c.cached_complexity))
         next_population = ranked[: params.elitists]
-        while len(next_population) < size:
-            parent1 = tournament(population)
-            parent2 = tournament(population)
-            if cut_points >= 1:
-                pair = crossover_npoint(parent1.genome, parent2.genome, cut_points, params.crossover_prob, rng)
-            else:
-                pair = (parent1.genome, parent2.genome)
-            for genome in pair[: size - len(next_population)]:
-                child = mutate_bits(genome, params.mutation_rate, rng)
-                child = scored(child)
-                next_population.append(child)
-                best = better(best, child)
+        draws = rng.integers(0, len(population), size=(2 * pairs, params.tournament_k))
+        parents = np.array([tournament(population, row).genome for row in draws])
+        if cut_points >= 1:
+            parents[0::2], parents[1::2] = cut_oracle(
+                parents[0::2], parents[1::2], cut_points, params.crossover_prob, rng
+            )
+        flips = rng.random((n_children, n)) < params.mutation_rate
+        for genome, flip in zip(parents, flips):
+            child = scored(genome ^ flip)
+            next_population.append(child)
+            best = better(best, child)
         population = next_population
     return best, population
 
@@ -504,9 +554,9 @@ def summary(candidate):
 
 
 class TestComposeDrawOrder:
-    """``compose`` breeds a generation in full before scoring it; it must make
-    the same draws, keep the same population and find the same best as the
-    interleaved reference loop."""
+    """``compose`` breeds a generation in full from three blocks of draws
+    before scoring it; it must make the same draws, keep the same population
+    and find the same best as the interleaved reference loop."""
 
     @staticmethod
     def tied_pool(data, count, seed):
@@ -559,6 +609,20 @@ class TestComposeDrawOrder:
         pool = (fit_rule(*data.feature_bounds.T, data, 0.01),)
         params = CompositionParams(population_size=9, generations_per_phase=6, elitists=2)
         self.check(pool, data, params, seed=7)
+
+    def test_odd_children_mutate_only_the_children_kept(self, square_dataset, monkeypatch):
+        # Nine children come from five pairs; the tenth is dropped before the
+        # mutation draw, so each generation's flips cover nine rows.
+        params = CompositionParams(population_size=12, generations_per_phase=4, elitists=3)
+        shapes = []
+
+        def recording_mutate(genomes, rate, rng):
+            shapes.append(genomes.shape)
+            return mutate_bits(genomes, rate, rng)
+
+        monkeypatch.setattr(rulemix.composition, "mutate_bits", recording_mutate)
+        compose(build_pool(square_dataset, 5, seed=17), square_dataset, params, np.random.default_rng(2))
+        assert shapes == [(9, 5)] * 4
 
 
 def test_composition_params_validation():

@@ -69,3 +69,12 @@ def test_fit_rule_span_counts_every_fit_of_a_discovery(small_fit_tracer):
     calls = small_fit_tracer.calls
     assert calls["discovery.fit_rule"] == calls["discovery.rule_fitness"]
     assert calls["discovery.fit_rule"] > calls["discovery.discover_rule"]
+
+
+def test_breeding_spans_are_entered_once_per_generation(small_fit_tracer):
+    # Each generation is bred from one call of each operator over the whole
+    # stack: 2 phases of 3 generations in the small fit.
+    calls = small_fit_tracer.calls
+    operators = ("tournament_select", "crossover_npoint", "mutate_bits")
+    assert [calls[f"composition.{name}"] for name in operators] == [2 * 3] * 3
+    assert calls["training.compose"] == 2
